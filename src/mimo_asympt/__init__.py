@@ -60,9 +60,11 @@ from .montecarlo import (
     EmpiricalSummary,
     MonteCarloError,
     TrialBatchSpec,
+    WorkerCountError,
     empirical_outage,
     ks_distance,
     run_trials,
+    run_trials_grid,
     summary_to_json,
     write_samples_csv,
 )
@@ -88,6 +90,7 @@ __all__ = [
     "StepTooLarge",
     "SystemConfig",
     "TrialBatchSpec",
+    "WorkerCountError",
     "build_exponential_correlation",
     "empirical_outage",
     "iid_closed_forms",
@@ -106,6 +109,7 @@ __all__ = [
     "outage_probability",
     "psd_sqrt",
     "run_trials",
+    "run_trials_grid",
     "sample_channel",
     "save_correlation_json",
     "sinr_covariance",

@@ -29,7 +29,6 @@ __all__ = [
     "save_correlation_json",
 ]
 
-_MASK64 = (1 << 64) - 1
 _HERMITICITY_TOL = 1e-12
 _PSD_TOL = 1e-10
 
@@ -171,19 +170,38 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.conj().T)
 
 
-def _standard_complex_gaussian(master_seed: int, trial_index: int, n: int, m: int) -> np.ndarray:
-    key = np.array([master_seed & _MASK64, trial_index & _MASK64], dtype=np.uint64)
-    z = Generator(Philox(key=key)).standard_normal((2, n, m))
-    return (z[0] + 1j * z[1]) * np.sqrt(0.5)
+def _draw_channels(pair: CorrelationPair, master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """H = R^{1/2} G T^{1/2} for trials [lo, hi) as one (hi - lo, N, M) array.
 
-
-def _draw_channel(r_sqrt: np.ndarray, t_sqrt: np.ndarray,
-                  master_seed: int, trial_index: int) -> np.ndarray:
+    Row i - lo is drawn from the Philox stream keyed by (master_seed, i),
+    exactly as a fresh Generator(Philox(key=[master_seed, i])) would draw
+    its (2, N, M) standard normals (real parts, then imaginary parts): one
+    bit generator is reset to that key per trial, which avoids building a
+    Generator per trial.
+    """
+    z = np.empty((hi - lo, 2, pair.n, pair.m))
+    bit_gen = Philox(key=np.array([master_seed, lo], dtype=np.uint64))
+    gen = Generator(bit_gen)
+    # A fresh stream's state, held in plain lists: the state setter reads
+    # them element by element, which is faster than from arrays.
+    state = bit_gen.state
+    state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    key = state["state"]["key"]
+    for row, i in zip(z, range(lo, hi)):
+        key[1] = i
+        bit_gen.state = state
+        gen.standard_normal(out=row)
+    g = np.empty((hi - lo, pair.n, pair.m), dtype=np.complex128)
+    g.real = z[:, 0]
+    g.imag = z[:, 1]
+    g *= np.sqrt(0.5)
+    if pair.is_identity:
+        return g
     # The plain (non-conjugate) transpose on T^{1/2} makes the transmit
     # correlation come out as T_ab rather than its conjugate; for real T
     # the two coincide.
-    g = _standard_complex_gaussian(master_seed, trial_index, r_sqrt.shape[0], t_sqrt.shape[0])
-    return r_sqrt @ g @ t_sqrt.T
+    return pair.r_sqrt @ g @ pair.t_sqrt.T
 
 
 def sample_channel(pair: CorrelationPair, config: SystemConfig,
@@ -191,13 +209,14 @@ def sample_channel(pair: CorrelationPair, config: SystemConfig,
     """Draw H = R^{1/2} G T^{1/2} for the given (master_seed, trial_index).
 
     Pure function of its arguments: the same inputs always return a
-    bit-identical matrix.
+    bit-identical matrix, equal to row trial_index of any batch the Monte
+    Carlo engine draws.
     """
     if pair.n != config.N or pair.m != config.M:
         raise ValueError(
             f"correlation pair is ({pair.n}, {pair.m}), config wants ({config.N}, {config.M})"
         )
-    h = _draw_channel(pair.r_sqrt, pair.t_sqrt, master_seed, trial_index)
+    h = _draw_channels(pair, master_seed, trial_index, trial_index + 1)[0]
     return ChannelSample(matrix=h, master_seed=master_seed, trial_index=trial_index)
 
 

@@ -34,9 +34,11 @@ from .gaussian import (
 )
 from .montecarlo import (
     TrialBatchSpec,
+    WorkerCountError,
     empirical_outage,
     ks_distance,
     run_trials,
+    run_trials_grid,
     summary_to_json,
     write_samples_csv,
 )
@@ -188,18 +190,14 @@ def cmd_compare(scenario: Scenario, out_dir: str, units: str) -> int:
 
     lo = min(summary.mi_samples[0], summary.opt_samples[0])
     hi = max(summary.mi_samples[-1], summary.opt_samples[-1])
-    grid = np.linspace(lo, hi, 200)
-    from scipy.special import ndtr
-
-    n = summary.n_trials
     rows = []
-    for x in grid:
+    for x in np.linspace(lo, hi, 200):
         rows.append((
             nats_to_bits(x),
-            float(ndtr((x - mmse_model.c1) / math.sqrt(mmse_model.c2))),
-            np.searchsorted(summary.mi_samples, x, side="right") / n,
-            float(ndtr((x - opt_model.c1) / math.sqrt(opt_model.c2))),
-            np.searchsorted(summary.opt_samples, x, side="right") / n,
+            outage_probability(mmse_model, x),
+            empirical_outage(summary, x, "mmse")[0],
+            outage_probability(opt_model, x),
+            empirical_outage(summary, x, "optimal")[0],
         ))
     path = os.path.join(out_dir, "compare.csv")
     _write_csv(path, ["mi_bpcu", "cdf_mmse_analytic", "cdf_mmse_empirical",
@@ -219,23 +217,25 @@ def cmd_outage(scenario: Scenario, out_dir: str, units: str) -> int:
         raise ScenarioError("scenario needs 'trials' and 'seed' for simulation commands")
     rate_nats = bits_to_nats(scenario.rate_bpcu[0])
     pair = scenario.build_pair()
-    rows = []
-    for snr_db in _snr_grid(scenario):
-        rho = 10.0 ** (snr_db / 10.0)
-        config = scenario.config(rho)
+    grid = _snr_grid(scenario)
+    rhos = [10.0 ** (snr_db / 10.0) for snr_db in grid]
+    p_gauss = []
+    for snr_db, rho in zip(grid, rhos):
         try:
-            model = mmse_mi_gaussian(pair, config, variant=scenario.mean_variant,
+            model = mmse_mi_gaussian(pair, scenario.config(rho), variant=scenario.mean_variant,
                                      step=scenario.fd_step, tol=scenario.tolerance,
                                      max_iter=scenario.max_iter)
         except (NonConvergence, StabilityViolation, StepTooLarge) as exc:
             raise _GridPointFailure(snr_db, exc) from exc
-        p_gauss = outage_probability(model, rate_nats)
-        spec = TrialBatchSpec(config=config, pair=pair, n_trials=scenario.trials,
-                              master_seed=scenario.seed)
-        summary = run_trials(spec)
+        p_gauss.append(outage_probability(model, rate_nats))
+    # one draw of the channels serves every grid point
+    spec = TrialBatchSpec(config=scenario.config(rhos[0]), pair=pair,
+                          n_trials=scenario.trials, master_seed=scenario.seed)
+    rows = []
+    for snr_db, p_g, summary in zip(grid, p_gauss, run_trials_grid(spec, rhos)):
         p_mmse, hw_m = empirical_outage(summary, rate_nats, "mmse")
         p_opt, hw_o = empirical_outage(summary, rate_nats, "optimal")
-        rows.append((snr_db, p_gauss, p_mmse, p_opt, max(hw_m, hw_o)))
+        rows.append((snr_db, p_g, p_mmse, p_opt, max(hw_m, hw_o)))
     path = os.path.join(out_dir, "outage.csv")
     _write_csv(path, ["snr_db", "pout_mmse_gauss", "pout_mmse_mc", "pout_opt_mc",
                       "ci_halfwidth"], rows)
@@ -288,6 +288,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](scenario, args.out, args.units)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except WorkerCountError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except _GridPointFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,37 +1,43 @@
 """Seeded, worker-count-invariant Monte Carlo engine.
 
-Trials are split into fixed-size batches; each batch regenerates its
-channels from the per-trial Philox streams and evaluates the exact receiver
-quantities in stacked form. Batches may run on any number of threads: every
-reduction is either exact (math.fsum over per-batch partial sums, collected
-in batch order) or a deterministic function of arrays assembled in trial
-order, so the resulting summary is bit-identical for any worker count.
+Trials are split into fixed batches of 4096; each batch regenerates its
+channels from the per-trial Philox streams, in 512-row chunks, and evaluates
+the exact receiver quantities in stacked form at every SNR of the run, so
+the points of an SNR grid share one draw. Batches may run on any number of
+threads: every reduction is either exact (math.fsum over per-batch partial
+sums, collected in batch order) or a deterministic function of arrays
+assembled in trial order, so the resulting summary is bit-identical for any
+worker count.
 
 Sample retention: the full sorted mutual-information vectors are kept up to
 `retention_cap` trials (default 1e7). Beyond that only scalar batch sums are
-held, and a second pass over the regenerated batches fills a fixed histogram
-from which a 4096-point quantile sketch is taken; outage and KS evaluations
-then read the sketch (resolution ~1/4096 on probabilities).
+held, and one second pass over the regenerated batches fills a fixed
+histogram per receiver and SNR, from which a 4096-point quantile sketch is
+taken; outage and KS evaluations then read the sketch (resolution ~1/4096 on
+probabilities).
 """
 
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr
 
-from .channel import CorrelationPair, SystemConfig, _draw_channel
+from .channel import CorrelationPair, SystemConfig, _draw_channels
 from .gaussian import MutualInfoGaussian
+from .mmse import gram, receiver_values
 
 __all__ = [
     "TrialBatchSpec",
     "EmpiricalSummary",
     "MonteCarloError",
+    "WorkerCountError",
     "run_trials",
+    "run_trials_grid",
     "empirical_outage",
     "ks_distance",
     "summary_to_json",
@@ -39,6 +45,7 @@ __all__ = [
 ]
 
 _BATCH = 4096
+_CHUNK = 512
 _SKETCH_POINTS = 4096
 _SKETCH_BINS = 1 << 20
 _Z95 = 1.959963984540054
@@ -50,6 +57,10 @@ class MonteCarloError(RuntimeError):
     def __init__(self, message: str, completed_trials: int):
         self.completed_trials = completed_trials
         super().__init__(f"{message} (completed {completed_trials} trials)")
+
+
+class WorkerCountError(ValueError):
+    """MIMO_ASYMPT_THREADS is set to something other than a non-negative integer."""
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,8 @@ class TrialBatchSpec:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.pair.n != self.config.N or self.pair.m != self.config.M:
             raise ValueError("correlation pair dimensions do not match config")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -96,45 +109,49 @@ class EmpiricalSummary:
 def _worker_count(requested=None) -> int:
     if requested is not None:
         return max(1, int(requested))
-    env = os.environ.get("MIMO_ASYMPT_THREADS", "0")
+    env = os.environ.get("MIMO_ASYMPT_THREADS", "").strip()
     try:
-        cap = int(env)
+        cap = int(env) if env else 0
     except ValueError:
-        cap = 0
+        cap = -1
+    if cap < 0:
+        raise WorkerCountError(
+            f"MIMO_ASYMPT_THREADS must be a non-negative integer, got {env!r}"
+        )
     return cap if cap > 0 else (os.cpu_count() or 1)
 
 
-def _batch_values(spec: TrialBatchSpec, lo: int, hi: int):
-    """Exact per-trial quantities for trials [lo, hi): (gam, mi, opt)."""
-    m, rho = spec.config.M, spec.config.rho
-    n_rx = spec.config.N
-    r_sqrt, t_sqrt = spec.pair.r_sqrt, spec.pair.t_sqrt
-    h = np.empty((hi - lo, n_rx, m), dtype=np.complex128)
-    for i in range(lo, hi):
-        h[i - lo] = _draw_channel(r_sqrt, t_sqrt, spec.master_seed, i)
-    a = np.eye(m) + (rho / m) * np.einsum("bni,bnj->bij", h.conj(), h)
-    d = np.diagonal(np.linalg.inv(a), axis1=1, axis2=2).real
-    gam = np.maximum(1.0 / d - 1.0, 0.0)
-    mi = np.log1p(gam).sum(axis=1)
-    opt = np.linalg.slogdet(a)[1]
-    return gam, mi, opt
+def _batch_values(spec: TrialBatchSpec, rhos, lo: int, hi: int):
+    """Exact per-trial (gam, mi, opt) for trials [lo, hi), one triple per SNR.
+
+    Channels are drawn and reduced in fixed _CHUNK-row pieces so the working
+    set stays bounded; each piece's Gram matrix serves every SNR.
+    """
+    parts = [[] for _ in rhos]
+    for c_lo in range(lo, hi, _CHUNK):
+        g = gram(_draw_channels(spec.pair, spec.master_seed, c_lo, min(c_lo + _CHUNK, hi)))
+        for part, rho in zip(parts, rhos):
+            part.append(receiver_values(g, rho))
+    return [tuple(np.concatenate(x) for x in zip(*part)) for part in parts]
 
 
-def _batch_stats(spec: TrialBatchSpec, lo: int, hi: int, keep_arrays: bool):
-    gam, mi, opt = _batch_values(spec, lo, hi)
-    stats = {
-        "g1": gam.sum(axis=0),
-        "g2": gam.T @ gam,
-        "g3": (gam**3).sum(axis=0),
-        "mi_s": (math.fsum(mi), math.fsum(mi**2), math.fsum(mi**3)),
-        "opt_s": (math.fsum(opt), math.fsum(opt**2)),
-        "mi_minmax": (float(mi.min()), float(mi.max())),
-        "opt_minmax": (float(opt.min()), float(opt.max())),
-    }
-    if keep_arrays:
-        stats["mi"] = mi
-        stats["opt"] = opt
-    return stats
+def _batch_stats(spec: TrialBatchSpec, rhos, lo: int, hi: int, keep_arrays: bool):
+    out = []
+    for gam, mi, opt in _batch_values(spec, rhos, lo, hi):
+        stats = {
+            "g1": gam.sum(axis=0),
+            "g2": gam.T @ gam,
+            "g3": (gam**3).sum(axis=0),
+            "mi_s": (math.fsum(mi), math.fsum(mi**2), math.fsum(mi**3)),
+            "opt_s": (math.fsum(opt), math.fsum(opt**2)),
+            "mi_minmax": (float(mi.min()), float(mi.max())),
+            "opt_minmax": (float(opt.min()), float(opt.max())),
+        }
+        if keep_arrays:
+            stats["mi"] = mi
+            stats["opt"] = opt
+        out.append(stats)
+    return out
 
 
 def _fsum_axis(parts):
@@ -160,64 +177,41 @@ def _jackknife_var_se(x: np.ndarray, blocks: int = 64):
     return float(np.sqrt((blocks - 1) / blocks * np.sum((rest_var - mean_est) ** 2)))
 
 
-def _quantile_sketch(spec, lo_hi, vmin, vmax, which: str, n_workers: int):
-    """Second pass: histogram the regenerated samples, return quantile values."""
-    span = max(vmax - vmin, 1e-300)
-    counts = np.zeros(_SKETCH_BINS, dtype=np.int64)
+def _quantile_sketches(spec, rhos, lo_hi, ranges, n_workers: int):
+    """Second pass: histogram the regenerated samples, return quantile values.
+
+    ranges holds one (lo, hi) value range per histogram, in the order
+    (mi, opt) per SNR; every histogram is filled from the same draw of each
+    batch.
+    """
+    spans = [max(hi - lo, 1e-300) for lo, hi in ranges]
+    counts = [np.zeros(_SKETCH_BINS, dtype=np.int64) for _ in ranges]
 
     def one(idx):
-        lo, hi = lo_hi[idx]
-        _, mi, opt = _batch_values(spec, lo, hi)
-        v = mi if which == "mi" else opt
-        bins = np.minimum(((v - vmin) / span * _SKETCH_BINS).astype(np.int64),
-                          _SKETCH_BINS - 1)
-        return np.bincount(bins, minlength=_SKETCH_BINS)
+        return [v for _, mi, opt in _batch_values(spec, rhos, *lo_hi[idx]) for v in (mi, opt)]
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        for c in pool.map(one, range(len(lo_hi))):
-            counts += c
-    cum = np.cumsum(counts)
-    targets = (np.arange(_SKETCH_POINTS) + 0.5) / _SKETCH_POINTS * cum[-1]
-    idx = np.minimum(np.searchsorted(cum, targets, side="left"), _SKETCH_BINS - 1)
-    centers = vmin + (np.arange(_SKETCH_BINS) + 0.5) / _SKETCH_BINS * span
-    return np.sort(centers[idx])
+        for values in pool.map(one, range(len(lo_hi))):
+            for c, v, (lo, _), span in zip(counts, values, ranges, spans):
+                bins = np.minimum(((v - lo) / span * _SKETCH_BINS).astype(np.int64),
+                                  _SKETCH_BINS - 1)
+                c += np.bincount(bins, minlength=_SKETCH_BINS)
+    targets = (np.arange(_SKETCH_POINTS) + 0.5) / _SKETCH_POINTS
+    out = []
+    for c, (lo, _), span in zip(counts, ranges, spans):
+        cum = np.cumsum(c)
+        idx = np.minimum(np.searchsorted(cum, targets * cum[-1], side="left"),
+                         _SKETCH_BINS - 1)
+        centers = lo + (np.arange(_SKETCH_BINS) + 0.5) / _SKETCH_BINS * span
+        out.append(np.sort(centers[idx]))
+    return out
 
 
-def run_trials(spec: TrialBatchSpec, n_workers=None, batch_size: int = _BATCH,
-               retention_cap: int = 10_000_000) -> EmpiricalSummary:
-    """Run the full batch of trials and aggregate.
+def _summarize(ordered, n: int, m: int, master_seed: int, sketch=None) -> EmpiricalSummary:
+    """Reduce one SNR point's per-batch stats, in batch order, to its summary.
 
-    The summary is a pure function of `spec` alone: batch boundaries depend
-    only on batch_size, per-trial randomness only on (master_seed, trial
-    index), and all reductions run in fixed batch order. n_workers defaults
-    to the MIMO_ASYMPT_THREADS environment variable (0 or unset = all cores).
+    sketch is the (mi, opt) quantile pair when the samples were not kept.
     """
-    n = spec.n_trials
-    workers = _worker_count(n_workers)
-    keep = n <= retention_cap
-    # materialize cached factors before the pool so threads share them
-    _ = spec.pair.r_sqrt
-    _ = spec.pair.t_sqrt
-
-    lo_hi = [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
-    results = {}
-
-    def one(idx):
-        lo, hi = lo_hi[idx]
-        return idx, _batch_stats(spec, lo, hi, keep)
-
-    completed = 0
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, stats in pool.map(one, range(len(lo_hi))):
-                results[idx] = stats
-                completed += lo_hi[idx][1] - lo_hi[idx][0]
-    except MemoryError as exc:
-        raise MonteCarloError("out of memory during trial execution", completed) from exc
-
-    ordered = [results[i] for i in range(len(lo_hi))]
-    m = spec.config.M
-
     g1 = _fsum_axis([b["g1"] for b in ordered])
     g2 = _fsum_axis([b["g2"] for b in ordered])
     g3 = _fsum_axis([b["g3"] for b in ordered])
@@ -243,31 +237,80 @@ def run_trials(spec: TrialBatchSpec, n_workers=None, batch_size: int = _BATCH,
     mi_m3 = mi_s3 / n - 3 * mi_mean * mi_s2 / n + 2 * mi_mean**3
     mi_skew = float(mi_m3 / mi_m2**1.5) if mi_m2 > 0 else 0.0
 
-    if keep:
+    if sketch is None:
         mi_in_order = np.concatenate([b["mi"] for b in ordered])
-        opt_in_order = np.concatenate([b["opt"] for b in ordered])
         mi_samples = np.sort(mi_in_order)
-        opt_samples = np.sort(opt_in_order)
+        opt_samples = np.sort(np.concatenate([b["opt"] for b in ordered]))
         var_se = _jackknife_var_se(mi_in_order)
-        sketch = False
     else:
-        mi_lo = min(b["mi_minmax"][0] for b in ordered)
-        mi_hi = max(b["mi_minmax"][1] for b in ordered)
-        op_lo = min(b["opt_minmax"][0] for b in ordered)
-        op_hi = max(b["opt_minmax"][1] for b in ordered)
-        mi_samples = _quantile_sketch(spec, lo_hi, mi_lo, mi_hi, "mi", workers)
-        opt_samples = _quantile_sketch(spec, lo_hi, op_lo, op_hi, "opt", workers)
+        mi_samples, opt_samples = sketch
         var_se = None
-        sketch = True
 
     return EmpiricalSummary(
         mi_samples=mi_samples, opt_samples=opt_samples,
         sinr_mean=sinr_mean, sinr_cov=sinr_cov, sinr_skew=sinr_skew,
         mi_mean=float(mi_mean), mi_var=float(mi_var), mi_skewness=mi_skew,
         opt_mean=float(opt_mean), opt_var=float(opt_var),
-        n_trials=n, master_seed=spec.master_seed,
-        mi_var_se=var_se, is_sketch=sketch,
+        n_trials=n, master_seed=master_seed,
+        mi_var_se=var_se, is_sketch=sketch is not None,
     )
+
+
+def run_trials_grid(spec: TrialBatchSpec, rhos, n_workers=None,
+                    retention_cap: int = 10_000_000):
+    """Run the trials once and evaluate them at every SNR in rhos (linear).
+
+    Returns one EmpiricalSummary per entry of rhos, in order; spec.config.rho
+    is not read. Every point sees the same channel realizations, and each
+    summary is bit-identical to run_trials at that SNR alone. The result is
+    a pure function of (spec, rhos): batch boundaries are fixed at 4096
+    trials, per-trial randomness depends only on (master_seed, trial index),
+    and all reductions run in fixed batch order. n_workers defaults to the
+    MIMO_ASYMPT_THREADS environment variable (0 or unset = all cores).
+    """
+    # replace() re-runs SystemConfig's checks on every SNR
+    rhos = [replace(spec.config, rho=float(r)).rho for r in rhos]
+    if not rhos:
+        raise ValueError("need at least one SNR point")
+    n = spec.n_trials
+    workers = _worker_count(n_workers)
+    keep = n <= retention_cap
+    # materialize cached factors before the pool so threads share them
+    _ = spec.pair.is_identity
+    _ = spec.pair.r_sqrt
+    _ = spec.pair.t_sqrt
+
+    lo_hi = [(lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
+    results = {}
+
+    def one(idx):
+        lo, hi = lo_hi[idx]
+        return idx, _batch_stats(spec, rhos, lo, hi, keep)
+
+    completed = 0
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for idx, stats in pool.map(one, range(len(lo_hi))):
+                results[idx] = stats
+                completed += lo_hi[idx][1] - lo_hi[idx][0]
+    except MemoryError as exc:
+        raise MonteCarloError("out of memory during trial execution", completed) from exc
+
+    per_point = [[results[i][k] for i in range(len(lo_hi))] for k in range(len(rhos))]
+    sketches = [None] * len(rhos)
+    if not keep:
+        ranges = [(min(b[key][0] for b in ordered), max(b[key][1] for b in ordered))
+                  for ordered in per_point for key in ("mi_minmax", "opt_minmax")]
+        flat = _quantile_sketches(spec, rhos, lo_hi, ranges, workers)
+        sketches = list(zip(flat[0::2], flat[1::2]))
+    return [_summarize(ordered, n, spec.config.M, spec.master_seed, sketch)
+            for ordered, sketch in zip(per_point, sketches)]
+
+
+def run_trials(spec: TrialBatchSpec, n_workers=None,
+               retention_cap: int = 10_000_000) -> EmpiricalSummary:
+    """Run the trials at spec.config.rho and aggregate: the one-point run_trials_grid."""
+    return run_trials_grid(spec, [spec.config.rho], n_workers, retention_cap)[0]
 
 
 def _samples_for(summary: EmpiricalSummary, receiver: str) -> np.ndarray:

@@ -75,7 +75,8 @@ SCENARIO_SCHEMA = {
             ]
         },
         "trials": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
+        # Philox keys are 64-bit: a larger seed would alias a smaller one
+        "seed": {"type": "integer", "minimum": 0, "maximum": 18446744073709551615},
         "mean_variant": {"enum": ["taylor", "as-printed"]},
         "fd_step": {"type": "number", "exclusiveMinimum": 0},
         "tolerance": {"type": "number", "exclusiveMinimum": 0},

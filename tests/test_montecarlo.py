@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,14 @@ from mimo_asympt import (
     MutualInfoGaussian,
     SystemConfig,
     TrialBatchSpec,
+    build_exponential_correlation,
     empirical_outage,
     ks_distance,
     mmse_mi_gaussian,
     mutual_info_mmse,
     mutual_info_optimal,
     run_trials,
+    run_trials_grid,
     sample_channel,
     sinr_covariance,
     sinr_exact,
@@ -166,3 +170,60 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         TrialBatchSpec(config=cfg, pair=CorrelationPair.identity(3, 2),
                        n_trials=10, master_seed=1)
+
+
+def test_seed_of_64_bits_or_more_rejected():
+    cfg = SystemConfig(M=2, N=4, rho=1.0)
+    pair = CorrelationPair.identity(4, 2)
+    TrialBatchSpec(config=cfg, pair=pair, n_trials=10, master_seed=2**64 - 1)
+    for seed in (2**64 + 5, 2**64, -1):
+        with pytest.raises(ValueError):
+            TrialBatchSpec(config=cfg, pair=pair, n_trials=10, master_seed=seed)
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_env_var_worker_cap_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv("MIMO_ASYMPT_THREADS", value)
+    with pytest.raises(mc.WorkerCountError):
+        mc._worker_count()
+    with pytest.raises(mc.WorkerCountError):
+        run_trials(_spec(trials=10))
+
+
+def test_grid_run_matches_single_point_runs():
+    # two batches, the second ending mid-chunk, on a correlated pair
+    cfg = SystemConfig(M=3, N=6, rho=1.0)
+    pair = CorrelationPair(build_exponential_correlation(6, 0.5),
+                           build_exponential_correlation(3, 0.3))
+    spec = TrialBatchSpec(config=cfg, pair=pair, n_trials=4096 + 700, master_seed=11)
+    rhos = [0.5, 2.0, 8.0]
+    grid = run_trials_grid(spec, rhos)
+    assert len(grid) == len(rhos)
+    for rho, summary in zip(rhos, grid):
+        point = replace(spec, config=replace(cfg, rho=rho))
+        single = run_trials(point)
+        assert summary_to_json(summary, point.config) == summary_to_json(single, point.config)
+        assert np.array_equal(summary.mi_samples, single.mi_samples)
+        assert np.array_equal(summary.opt_samples, single.opt_samples)
+
+
+def test_grid_run_rejects_bad_snr():
+    with pytest.raises(ValueError):
+        run_trials_grid(_spec(trials=10), [])
+    with pytest.raises(ValueError):
+        run_trials_grid(_spec(trials=10), [1.0, 0.0])
+
+
+def test_sketch_path_draws_each_trial_twice(monkeypatch):
+    drawn = np.zeros(10_000, dtype=int)
+    real_draw = mc._draw_channels
+
+    def counting_draw(pair, master_seed, lo, hi):
+        drawn[lo:hi] += 1
+        return real_draw(pair, master_seed, lo, hi)
+
+    monkeypatch.setattr(mc, "_draw_channels", counting_draw)
+    grid = run_trials_grid(_spec(trials=10_000), [1.0, 4.0], n_workers=2, retention_cap=1000)
+    assert all(s.is_sketch for s in grid)
+    # one main pass and one sketch pass for both receivers and both SNRs
+    assert np.all(drawn == 2)

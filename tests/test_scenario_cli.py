@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from mimo_asympt import ScenarioError, load_scenario, save_correlation_json
+from mimo_asympt import EmpiricalSummary, ScenarioError, load_scenario, save_correlation_json
+from mimo_asympt import cli
 from mimo_asympt.cli import bits_to_nats, main, nats_to_bits
 
 LN2 = math.log(2.0)
@@ -218,3 +219,55 @@ def test_unit_conversion_roundtrip_at_emitted_precision():
         assert f"{rt:.12g}" == f"{x:.12g}"
         rt2 = nats_to_bits(bits_to_nats(x))
         assert f"{rt2:.12g}" == f"{x:.12g}"
+
+
+def test_scenario_rejects_seed_of_64_bits_or_more(tmp_path):
+    assert load_scenario(_write_scenario(tmp_path, seed=2**64 - 1)).seed == 2**64 - 1
+    path = _write_scenario(tmp_path, seed=2**64 + 5)
+    with pytest.raises(ScenarioError):
+        load_scenario(path)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_bad_thread_count_exit_code(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("MIMO_ASYMPT_THREADS", value)
+    path = _write_scenario(tmp_path, trials=10)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_cmd_compare_empirical_columns_on_sketch(tmp_path, monkeypatch):
+    # a sketch summary keeps 4096 quantiles of far more trials; the
+    # empirical CDF columns must still climb to 1
+    rng = np.random.default_rng(0)
+    x = np.sort(rng.normal(2.5, 0.3, 4096))
+    sketch = EmpiricalSummary(
+        mi_samples=x, opt_samples=x + 0.1, sinr_mean=np.zeros(3),
+        sinr_cov=np.zeros((3, 3)), sinr_skew=np.zeros(3),
+        mi_mean=2.5, mi_var=0.09, mi_skewness=0.0, opt_mean=2.6, opt_var=0.09,
+        n_trials=20_000_000, master_seed=2026, is_sketch=True,
+    )
+    monkeypatch.setattr(cli, "run_trials", lambda spec: sketch)
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", str(_write_scenario(tmp_path)), "--out", str(out)]) == 0
+    lines = (out / "compare.csv").read_text().splitlines()
+    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert data[-1, 2] == 1.0
+    assert data[-1, 4] == 1.0
+    i = int(np.searchsorted(data[:, 0], np.median(x) / LN2))
+    assert abs(data[i, 2] - 0.5) <= 0.02
+
+
+def test_outage_mc_columns_never_rise_with_snr(tmp_path):
+    # every grid point sees the same channels, and each SINR and the
+    # log-det increase with rho, so both columns fall realization by realization
+    out = tmp_path / "out"
+    path = _write_scenario(tmp_path, M=3, N=3, snr_db=[8.0, 9.0, 10.0, 11.0, 12.0, 15.0],
+                           rate_bpcu=3.0, trials=5000,
+                           correlation={"type": "exponential", "zeta_r": 0.5, "zeta_t": 0.3})
+    assert main(["outage", "--scenario", str(path), "--out", str(out)]) == 0
+    lines = (out / "outage.csv").read_text().splitlines()
+    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    p_mmse, p_opt = data[:, 2], data[:, 3]
+    assert np.all(np.diff(p_mmse) <= 0) and np.all(np.diff(p_opt) <= 0)
+    assert p_mmse[0] > p_mmse[-1]

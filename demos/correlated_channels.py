@@ -39,7 +39,7 @@ for k in range(M):
     print(f"{k:7d} {summary.sinr_mean[k]:10.4f} {pred:17.4f}")
 
 sol = solve_fixed_point(pair, cfg)
-pred_logdet = mean_logdet_asymptotic(pair, cfg, None, sol)
+pred_logdet = mean_logdet_asymptotic(pair, cfg, sol)
 print()
 print(f"optimal-receiver mean MI: simulated {summary.opt_mean:.4f} nats, "
       f"asymptotic {pred_logdet:.4f} nats "

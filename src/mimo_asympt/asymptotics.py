@@ -168,17 +168,17 @@ def solve_fixed_point(pair, config, deformation: Optional[Deformation] = None,
                               iterations=iterations, deformation=deformation)
 
 
-def mean_logdet_asymptotic(pair, config, deformation: Optional[Deformation],
-                           solution: FixedPointSolution) -> float:
+def mean_logdet_asymptotic(pair, config, solution: FixedPointSolution) -> float:
     """Asymptotic mean of Tr log[I + (rho/M) H J H^H] at the given fixed point.
 
-    Tr log(I + sqrt(rho) t Tt) - M t r + Tr log(I + sqrt(rho) r R), in nats.
-    For J = I this is the mean mutual information of the optimal receiver.
+    Tr log(I + sqrt(rho) t Tt) - M t r + Tr log(I + sqrt(rho) r R), in nats,
+    with J the solution's own deformation. For J = I this is the mean mutual
+    information of the optimal receiver.
     """
     m, rho = config.M, config.rho
     sr = np.sqrt(rho)
     lam = pair.r_eigvals
-    nu = deformed_transmit_spectrum(pair, deformation)
+    nu = deformed_transmit_spectrum(pair, solution.deformation)
     arg_t = sr * solution.t * nu
     arg_r = sr * solution.r * lam
     if np.min(arg_t) <= -1.0 or np.min(arg_r) <= -1.0:

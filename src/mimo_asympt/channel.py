@@ -10,7 +10,7 @@ independent Philox stream, so sampling is reproducible under any execution
 order or worker count.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 import json
 
@@ -21,7 +21,6 @@ from scipy.linalg import toeplitz
 __all__ = [
     "SystemConfig",
     "CorrelationPair",
-    "ChannelSample",
     "build_exponential_correlation",
     "psd_sqrt",
     "sample_channel",
@@ -130,15 +129,6 @@ class CorrelationPair:
         return np.clip(np.linalg.eigvalsh(self.T), 0.0, None)
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One channel realization together with the stream that produced it."""
-
-    matrix: np.ndarray
-    master_seed: int
-    trial_index: int
-
-
 def build_exponential_correlation(n: int, zeta: float) -> np.ndarray:
     """Exponential Toeplitz correlation matrix, entry (i, j) = zeta^|i-j|.
 
@@ -205,8 +195,8 @@ def _draw_channels(pair: CorrelationPair, master_seed: int, lo: int, hi: int) ->
 
 
 def sample_channel(pair: CorrelationPair, config: SystemConfig,
-                   master_seed: int, trial_index: int) -> ChannelSample:
-    """Draw H = R^{1/2} G T^{1/2} for the given (master_seed, trial_index).
+                   master_seed: int, trial_index: int) -> np.ndarray:
+    """Draw the N x M matrix H = R^{1/2} G T^{1/2} for (master_seed, trial_index).
 
     Pure function of its arguments: the same inputs always return a
     bit-identical matrix, equal to row trial_index of any batch the Monte
@@ -216,8 +206,7 @@ def sample_channel(pair: CorrelationPair, config: SystemConfig,
         raise ValueError(
             f"correlation pair is ({pair.n}, {pair.m}), config wants ({config.N}, {config.M})"
         )
-    h = _draw_channels(pair, master_seed, trial_index, trial_index + 1)[0]
-    return ChannelSample(matrix=h, master_seed=master_seed, trial_index=trial_index)
+    return _draw_channels(pair, master_seed, trial_index, trial_index + 1)[0]
 
 
 def save_correlation_json(path, matrix: np.ndarray) -> None:
@@ -234,21 +223,14 @@ def save_correlation_json(path, matrix: np.ndarray) -> None:
 
 
 def load_correlation_json(path) -> np.ndarray:
-    """Read a matrix written by save_correlation_json. Raises ValueError on bad shape."""
+    """Read a matrix written by save_correlation_json; ValueError on a bad shape or entry."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
         raise ValueError("correlation file must be an object with keys 'n' and 'entries'")
     n = doc["n"]
-    rows = doc["entries"]
-    if not isinstance(n, int) or n < 1 or len(rows) != n:
-        raise ValueError(f"bad dimension: n={n!r} with {len(rows)} rows")
-    out = np.empty((n, n), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
-        for j, entry in enumerate(row):
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                raise ValueError(f"entry ({i}, {j}) must be a [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
-    return out
+    a = np.array(doc["entries"], dtype=np.float64)
+    if not isinstance(n, int) or a.shape != (n, n, 2) or not np.isfinite(a).all():
+        raise ValueError(f"entries must be n x n finite [re, im] pairs with n={n!r}, "
+                         f"got shape {a.shape}")
+    return a.view(np.complex128)[..., 0]

@@ -7,7 +7,8 @@ Four verbs, each reading a scenario JSON and writing data files into --out:
   compare       analytic vs empirical CDF curves -> compare.csv (prints KS)
   outage        Gaussian and empirical outage across the SNR grid -> outage.csv
 
-Exit codes: 0 success, 2 scenario/config error, 3 numerical failure
+Exit codes: 0 success, 2 scenario/config error (including a bad correlation
+file or an SNR outside float range), 3 numerical failure
 (non-convergence or stability violation, message names the grid point),
 4 output I/O error. Internal computations are in nats; --units picks the
 display unit for asymptotics.json (compare.csv is always bpcu, samples.csv
@@ -22,16 +23,9 @@ import sys
 
 import numpy as np
 
-from .asymptotics import NonConvergence, StabilityViolation, mean_sinr_asymptotic
-from .covariance import SinrCovariance, StepTooLarge, iid_closed_forms, sinr_covariance
-from .gaussian import (
-    _closed_form_sigma,
-    mmse_mi_gaussian,
-    mmse_mi_mean,
-    mmse_mi_variance,
-    optimal_mi_gaussian,
-    outage_probability,
-)
+from .asymptotics import NonConvergence, StabilityViolation
+from .covariance import StepTooLarge, iid_closed_forms
+from .gaussian import mmse_mi_gaussian, mmse_mi_mean, optimal_mi_gaussian, outage_probability
 from .montecarlo import (
     TrialBatchSpec,
     WorkerCountError,
@@ -59,71 +53,65 @@ def bits_to_nats(x: float) -> float:
     return x * LN2
 
 
-def _fmt(x) -> str:
-    return f"{x:.12g}"
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
 
 def _snr_grid(scenario: Scenario):
+    """The (snr_db, rho) grid points."""
     if not scenario.snr_db:
         raise ScenarioError("scenario needs snr_db for this command")
-    return scenario.snr_db
+    return list(zip(scenario.snr_db, scenario.rho))
 
 
-def _sigma_used(pair, scenario, config) -> SinrCovariance:
-    """Covariance fed to the Gaussian assembly, mirroring mmse_mi_gaussian."""
-    if pair.is_identity:
-        return _closed_form_sigma(config)
-    return sinr_covariance(pair, config, step=scenario.fd_step,
-                           tol=scenario.tolerance, max_iter=scenario.max_iter)
+def _models(scenario: Scenario, pair, snr_db: float, rho: float, variant: str,
+            optimal: bool = True):
+    """The MMSE (and optimal) Gaussian models at one grid point.
+
+    A solver failure is re-raised as a _GridPointFailure naming the point.
+    """
+    config = scenario.config(rho)
+    knobs = {"tol": scenario.tolerance, "max_iter": scenario.max_iter}
+    try:
+        mmse = mmse_mi_gaussian(pair, config, variant=variant, step=scenario.fd_step, **knobs)
+        return mmse, optimal_mi_gaussian(pair, config, **knobs) if optimal else None
+    except (NonConvergence, StabilityViolation, StepTooLarge) as exc:
+        raise _GridPointFailure(f"at snr_db={snr_db}: {exc}") from exc
 
 
 def cmd_asymptotics(scenario: Scenario, out_dir: str, units: str) -> int:
     pair = scenario.build_pair()
     conv = 1.0 if units == "nats" else 1.0 / LN2
+    m = scenario.m
     rows = []
-    for snr_db in _snr_grid(scenario):
-        rho = 10.0 ** (snr_db / 10.0)
-        config = scenario.config(rho)
-        try:
-            ms = mean_sinr_asymptotic(pair, config, tol=scenario.tolerance,
-                                      max_iter=scenario.max_iter)
-            sig = _sigma_used(pair, scenario, config)
-            sigma = sig.sigma
-            c1_t, c10, c11_t = mmse_mi_mean(ms, sig, "taylor")
-            c1_p, _, c11_p = mmse_mi_mean(ms, sig, "as-printed")
-            c2 = mmse_mi_variance(ms, sig)
-            opt = optimal_mi_gaussian(pair, config, tol=scenario.tolerance,
-                                      max_iter=scenario.max_iter)
-        except (NonConvergence, StabilityViolation, StepTooLarge) as exc:
-            raise _GridPointFailure(snr_db, exc) from exc
-        m = config.M
-        off = sigma[~np.eye(m, dtype=bool)]
+    for snr_db, rho in _snr_grid(scenario):
+        model, opt = _models(scenario, pair, snr_db, rho, "taylor")
+        ms, sig = model.mean_sinr, model.sigma
+        c1_p, _, c11_p = mmse_mi_mean(ms, sig, "as-printed")
+        off = sig.sigma[~np.eye(m, dtype=bool)]
         row = {
             "snr_db": snr_db,
             "rho": rho,
             "gamma_bar": ms.gamma_bar.tolist(),
             "delta_gamma": ms.delta_gamma.tolist(),
             "sigma": {
-                "diag_mean": float(np.diagonal(sigma).mean()),
+                "diag_mean": float(np.diagonal(sig.sigma).mean()),
                 "offdiag_mean": float(off.mean()) if m > 1 else 0.0,
                 "method": sig.method,
             },
             "mmse": {
-                "taylor": {"c1": c1_t * conv, "c10": c10 * conv, "c11": c11_t * conv},
-                "as-printed": {"c1": c1_p * conv, "c10": c10 * conv, "c11": c11_p * conv},
-                "c2": c2 * conv * conv,
+                "taylor": {"c1": model.c1 * conv, "c10": model.c10 * conv,
+                           "c11": model.c11 * conv},
+                "as-printed": {"c1": c1_p * conv, "c10": model.c10 * conv, "c11": c11_p * conv},
+                "c2": model.c2 * conv * conv,
             },
             "optimal": {"c1": opt.c1 * conv, "c2": opt.c2 * conv * conv},
         }
         if pair.is_identity:
-            cf = iid_closed_forms(config)
+            cf = iid_closed_forms(scenario.config(rho))
             row["g"] = cf.g
             row["v_d"] = cf.v_d
             row["v_od"] = cf.v_od
@@ -145,48 +133,39 @@ def cmd_asymptotics(scenario: Scenario, out_dir: str, units: str) -> int:
     return 0
 
 
-def _simulate_summary(scenario: Scenario, rho: float):
+def _spec(scenario: Scenario, pair, rho: float) -> TrialBatchSpec:
     if scenario.trials is None or scenario.seed is None:
         raise ScenarioError("scenario needs 'trials' and 'seed' for simulation commands")
-    pair = scenario.build_pair()
-    config = scenario.config(rho)
-    spec = TrialBatchSpec(config=config, pair=pair, n_trials=scenario.trials,
+    return TrialBatchSpec(config=scenario.config(rho), pair=pair, n_trials=scenario.trials,
                           master_seed=scenario.seed)
-    return pair, config, run_trials(spec)
 
 
-def _single_rho(scenario: Scenario) -> float:
+def _single_point(scenario: Scenario):
     grid = _snr_grid(scenario)
     if len(grid) != 1:
         raise ScenarioError("this command needs a scalar snr_db")
-    return 10.0 ** (grid[0] / 10.0)
+    return grid[0]
 
 
 def cmd_simulate(scenario: Scenario, out_dir: str, units: str) -> int:
-    rho = _single_rho(scenario)
-    _, config, summary = _simulate_summary(scenario, rho)
+    _, rho = _single_point(scenario)
+    spec = _spec(scenario, scenario.build_pair(), rho)
+    summary = run_trials(spec)
     csv_path = os.path.join(out_dir, "samples.csv")
     json_path = os.path.join(out_dir, "summary.json")
     write_samples_csv(summary, csv_path)
     with open(json_path, "w", encoding="utf-8") as f:
-        f.write(summary_to_json(summary, config))
+        f.write(summary_to_json(summary, spec.config))
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     return 0
 
 
 def cmd_compare(scenario: Scenario, out_dir: str, units: str) -> int:
-    rho = _single_rho(scenario)
-    pair, config, summary = _simulate_summary(scenario, rho)
-    snr_db = scenario.snr_db[0]
-    try:
-        mmse_model = mmse_mi_gaussian(pair, config, variant=scenario.mean_variant,
-                                      step=scenario.fd_step, tol=scenario.tolerance,
-                                      max_iter=scenario.max_iter)
-        opt_model = optimal_mi_gaussian(pair, config, tol=scenario.tolerance,
-                                        max_iter=scenario.max_iter)
-    except (NonConvergence, StabilityViolation, StepTooLarge) as exc:
-        raise _GridPointFailure(snr_db, exc) from exc
+    snr_db, rho = _single_point(scenario)
+    pair = scenario.build_pair()
+    summary = run_trials(_spec(scenario, pair, rho))
+    mmse_model, opt_model = _models(scenario, pair, snr_db, rho, scenario.mean_variant)
 
     lo = min(summary.mi_samples[0], summary.opt_samples[0])
     hi = max(summary.mi_samples[-1], summary.opt_samples[-1])
@@ -213,26 +192,16 @@ def cmd_compare(scenario: Scenario, out_dir: str, units: str) -> int:
 def cmd_outage(scenario: Scenario, out_dir: str, units: str) -> int:
     if not scenario.rate_bpcu or len(scenario.rate_bpcu) != 1:
         raise ScenarioError("outage needs a scalar rate_bpcu")
-    if scenario.trials is None or scenario.seed is None:
-        raise ScenarioError("scenario needs 'trials' and 'seed' for simulation commands")
     rate_nats = bits_to_nats(scenario.rate_bpcu[0])
     pair = scenario.build_pair()
     grid = _snr_grid(scenario)
-    rhos = [10.0 ** (snr_db / 10.0) for snr_db in grid]
-    p_gauss = []
-    for snr_db, rho in zip(grid, rhos):
-        try:
-            model = mmse_mi_gaussian(pair, scenario.config(rho), variant=scenario.mean_variant,
-                                     step=scenario.fd_step, tol=scenario.tolerance,
-                                     max_iter=scenario.max_iter)
-        except (NonConvergence, StabilityViolation, StepTooLarge) as exc:
-            raise _GridPointFailure(snr_db, exc) from exc
-        p_gauss.append(outage_probability(model, rate_nats))
     # one draw of the channels serves every grid point
-    spec = TrialBatchSpec(config=scenario.config(rhos[0]), pair=pair,
-                          n_trials=scenario.trials, master_seed=scenario.seed)
+    spec = _spec(scenario, pair, scenario.rho[0])
+    p_gauss = [outage_probability(_models(scenario, pair, snr_db, rho, scenario.mean_variant,
+                                          optimal=False)[0], rate_nats)
+               for snr_db, rho in grid]
     rows = []
-    for snr_db, p_g, summary in zip(grid, p_gauss, run_trials_grid(spec, rhos)):
+    for (snr_db, _), p_g, summary in zip(grid, p_gauss, run_trials_grid(spec, scenario.rho)):
         p_mmse, hw_m = empirical_outage(summary, rate_nats, "mmse")
         p_opt, hw_o = empirical_outage(summary, rate_nats, "optimal")
         rows.append((snr_db, p_g, p_mmse, p_opt, max(hw_m, hw_o)))
@@ -244,10 +213,7 @@ def cmd_outage(scenario: Scenario, out_dir: str, units: str) -> int:
 
 
 class _GridPointFailure(Exception):
-    def __init__(self, snr_db, cause):
-        self.snr_db = snr_db
-        self.cause = cause
-        super().__init__(f"at snr_db={snr_db}: {cause}")
+    """A solver failure at one SNR grid point; the message names the point."""
 
 
 _COMMANDS = {
@@ -276,15 +242,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    try:
         os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    try:
         return _COMMANDS[args.command](scenario, args.out, args.units)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
@@ -293,9 +251,6 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except _GridPointFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return _EXIT_NUMERIC
-    except (NonConvergence, StabilityViolation, StepTooLarge) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     except OSError as exc:

@@ -117,8 +117,7 @@ def _mixed_difference(nodes, pair, config, i: int, j: int, h: float) -> float:
 
 
 def sinr_covariance(pair, config, step: float = 1e-3, tol: float = 1e-12,
-                    max_iter: int = 10000, exploit_symmetry: bool = True,
-                    richardson: bool = True) -> SinrCovariance:
+                    max_iter: int = 10000, exploit_symmetry: bool = True) -> SinrCovariance:
     """Full M x M SINR covariance via mixed central differences around x = 0.
 
     Each entry uses the four corners (+-h, +-h), Richardson-combined with the
@@ -133,15 +132,13 @@ def sinr_covariance(pair, config, step: float = 1e-3, tol: float = 1e-12,
     if step <= 0:
         raise ValueError("step must be positive")
     m = config.M
-    steps = (step, step / 2.0) if richardson else (step,)
+    steps = (step, step / 2.0)
 
     iid_fast = exploit_symmetry and pair.is_identity
 
     def entry(i: int, j: int, nodes) -> float:
-        vals = [_mixed_difference(nodes, pair, config, i, j, h) for h in steps]
-        if richardson:
-            return (4.0 * vals[1] - vals[0]) / 3.0
-        return vals[0]
+        coarse, fine = (_mixed_difference(nodes, pair, config, i, j, h) for h in steps)
+        return (4.0 * fine - coarse) / 3.0
 
     indices = [0, 1] if (iid_fast and m >= 2) else ([0] if iid_fast else list(range(m)))
     xs = [s * sgn for s in steps for sgn in (+1.0, -1.0)]

@@ -14,15 +14,15 @@ The two agree at leading order but differ substantially in the O(1) term at
 moderate SNR; Monte Carlo sides with "taylor" (sub-percent agreement where
 the as-printed form is tens of percent off), so comparisons report both.
 
-Under identity correlations the covariance fed to the assembly defaults to
-the asymptotic closed forms (v_d/M, v_od/M^2): those are the coefficients
+Under identity correlations the covariance fed to the assembly is the
+asymptotic closed forms (v_d/M, v_od/M^2): those are the coefficients
 the Gaussian limit is built from, and they reproduce simulated means and
 variances noticeably better than the finite-M difference path, whose extra
 O(1/M) content overshoots once mapped through the log. Correlated pairs use
 the finite-difference covariance, the only general path.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -49,7 +49,8 @@ class MutualInfoGaussian:
     c1 = M*c10 + c11 is the mean, c2 the variance; c10 is the per-stream
     leading term and c11 the O(1) correction. variant records which mean
     assembly produced c11 ("taylor" or "as-printed"; None for the optimal
-    receiver, whose mean needs no expansion).
+    receiver, whose mean needs no expansion). mean_sinr and sigma are the
+    inputs an MMSE model was assembled from (None for the optimal receiver).
     """
 
     c1: float
@@ -58,6 +59,9 @@ class MutualInfoGaussian:
     c11: float
     receiver: str
     variant: Optional[str] = None
+    # both hold arrays, so they stay out of == and repr
+    mean_sinr: Optional[MeanSinrResult] = field(default=None, compare=False, repr=False)
+    sigma: Optional[SinrCovariance] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.c2 < 0:
@@ -96,30 +100,21 @@ def _closed_form_sigma(config) -> SinrCovariance:
 
 
 def mmse_mi_gaussian(pair, config, variant: str = "taylor", step: float = 1e-3,
-                     sigma_mode: str = "auto", tol: float = 1e-12,
-                     max_iter: int = 10000) -> MutualInfoGaussian:
+                     tol: float = 1e-12, max_iter: int = 10000) -> MutualInfoGaussian:
     """Gaussian parameters of the MMSE receiver's mutual information.
 
-    sigma_mode picks the covariance fed into the assembly: "closed" uses the
-    identity-correlation closed forms (only valid for an identity pair),
-    "fd" forces the finite-difference matrix, and "auto" (default) selects
-    "closed" for identity pairs and "fd" otherwise.
+    The covariance is the identity-correlation closed forms for an identity
+    pair and the finite-difference matrix (with this step) otherwise; the
+    model carries the mean SINRs and the covariance it was assembled from.
     """
     ms = mean_sinr_asymptotic(pair, config, tol=tol, max_iter=max_iter)
-    if sigma_mode == "auto":
-        sigma_mode = "closed" if pair.is_identity else "fd"
-    if sigma_mode == "closed":
-        if not pair.is_identity:
-            raise ValueError("closed-form covariance requires identity correlations")
+    if pair.is_identity:
         sigma = _closed_form_sigma(config)
-    elif sigma_mode == "fd":
-        sigma = sinr_covariance(pair, config, step=step, tol=tol, max_iter=max_iter)
     else:
-        raise ValueError(f"unknown sigma_mode {sigma_mode!r}")
+        sigma = sinr_covariance(pair, config, step=step, tol=tol, max_iter=max_iter)
     c1, c10, c11 = mmse_mi_mean(ms, sigma, variant)
-    c2 = mmse_mi_variance(ms, sigma)
-    return MutualInfoGaussian(c1=c1, c2=c2, c10=c10, c11=c11,
-                              receiver="mmse", variant=variant)
+    return MutualInfoGaussian(c1=c1, c2=mmse_mi_variance(ms, sigma), c10=c10, c11=c11,
+                              receiver="mmse", variant=variant, mean_sinr=ms, sigma=sigma)
 
 
 def optimal_mi_gaussian(pair, config, tol: float = 1e-12,
@@ -132,7 +127,7 @@ def optimal_mi_gaussian(pair, config, tol: float = 1e-12,
     m, rho = config.M, config.rho
     sr = np.sqrt(rho)
     sol = solve_fixed_point(pair, config, None, tol=tol, max_iter=max_iter)
-    c1 = mean_logdet_asymptotic(pair, config, None, sol)
+    c1 = mean_logdet_asymptotic(pair, config, sol)
     d = pair.t_eigvals
     lam = pair.r_eigvals
     m_t = (rho / m) * float(np.sum((d / (1.0 + sr * sol.t * d)) ** 2))

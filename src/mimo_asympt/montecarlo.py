@@ -231,9 +231,9 @@ def _summarize(ordered, n: int, m: int, master_seed: int, sketch=None) -> Empiri
     mi_mean = mi_s1 / n
     opt_mean = opt_s1 / n
     bessel = n / (n - 1) if n > 1 else 1.0
-    mi_var = max(mi_s2 / n - mi_mean**2, 0.0) * bessel
-    opt_var = max(opt_s2 / n - opt_mean**2, 0.0) * bessel
     mi_m2 = max(mi_s2 / n - mi_mean**2, 0.0)
+    mi_var = mi_m2 * bessel
+    opt_var = max(opt_s2 / n - opt_mean**2, 0.0) * bessel
     mi_m3 = mi_s3 / n - 3 * mi_mean * mi_s2 / n + 2 * mi_mean**3
     mi_skew = float(mi_m3 / mi_m2**1.5) if mi_m2 > 0 else 0.0
 

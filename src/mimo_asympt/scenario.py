@@ -4,10 +4,12 @@ A scenario pins everything needed to reproduce a run: antenna counts, an
 SNR grid in dB, target rates in bits per channel use, the correlation
 model, trial counts and the master seed, plus numerical knobs (mean
 variant, finite-difference step, fixed-point tolerance and max_iter).
-Unknown keys are rejected.
+Unknown keys are rejected, and so is an SNR whose linear value is not a
+positive finite float. The SNR grid is converted to linear rho here, once.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -93,11 +95,27 @@ def _as_tuple(v) -> Optional[Tuple[float, ...]]:
     return tuple(float(x) for x in v)
 
 
+def _linear(snr_db) -> Tuple[float, ...]:
+    rhos = []
+    for db in snr_db:
+        try:
+            rho = 10.0 ** (db / 10.0)
+        except OverflowError:
+            rho = math.inf
+        if not 0.0 < rho < math.inf:
+            raise ScenarioError(f"snr_db {db} has no positive finite linear value")
+        rhos.append(rho)
+    return tuple(rhos)
+
+
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario; rho[i] = 10^(snr_db[i]/10) is the linear SNR grid."""
+
     m: int
     n: int
     snr_db: Optional[Tuple[float, ...]]
+    rho: Optional[Tuple[float, ...]]
     rate_bpcu: Optional[Tuple[float, ...]]
     correlation: dict
     trials: Optional[int]
@@ -112,6 +130,8 @@ class Scenario:
         return SystemConfig(M=self.m, N=self.n, rho=rho)
 
     def build_pair(self) -> CorrelationPair:
+        """The correlation pair; ScenarioError names a file that is missing,
+        unreadable, of the wrong size or not a valid correlation matrix."""
         c = self.correlation
         kind = c["type"]
         if kind == "identity":
@@ -121,9 +141,16 @@ class Scenario:
                 build_exponential_correlation(self.n, c["zeta_r"]),
                 build_exponential_correlation(self.m, c["zeta_t"]),
             )
-        r = load_correlation_json(os.path.join(self.base_dir, c["r_path"]))
-        t = load_correlation_json(os.path.join(self.base_dir, c["t_path"]))
-        return CorrelationPair(r, t)
+        paths = [os.path.join(self.base_dir, c[key]) for key in ("r_path", "t_path")]
+        files = f"correlation files {paths[0]} (R), {paths[1]} (T)"
+        try:
+            pair = CorrelationPair(*map(load_correlation_json, paths))
+        except (OSError, ValueError, TypeError) as exc:
+            raise ScenarioError(f"{files}: {exc}") from exc
+        if (pair.n, pair.m) != (self.n, self.m):
+            raise ScenarioError(f"{files} are {pair.n}x{pair.n} and {pair.m}x{pair.m}, "
+                                f"the scenario needs {self.n}x{self.n} and {self.m}x{self.m}")
+        return pair
 
 
 def load_scenario(path) -> Scenario:
@@ -141,10 +168,12 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"scenario schema violation: {exc.message}") from exc
     if doc["N"] < doc["M"]:
         raise ScenarioError(f"need N >= M, got M={doc['M']}, N={doc['N']}")
+    snr_db = _as_tuple(doc.get("snr_db"))
     return Scenario(
         m=doc["M"],
         n=doc["N"],
-        snr_db=_as_tuple(doc.get("snr_db")),
+        snr_db=snr_db,
+        rho=_linear(snr_db) if snr_db else None,
         rate_bpcu=_as_tuple(doc.get("rate_bpcu")),
         correlation=doc["correlation"],
         trials=doc.get("trials"),

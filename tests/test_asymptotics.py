@@ -46,7 +46,7 @@ def test_zero_snr_limit():
     sr = np.sqrt(1e-12)
     assert sol.t == pytest.approx(sr * 2.0, rel=1e-6)
     assert sol.r == pytest.approx(sr, rel=1e-6)
-    assert mean_logdet_asymptotic(pair, cfg, None, sol) <= 1e-6
+    assert mean_logdet_asymptotic(pair, cfg, sol) <= 1e-6
 
 
 def test_fixed_point_defects_at_solution():
@@ -127,7 +127,7 @@ def test_mean_logdet_matches_montecarlo_identity():
     # beta=0.5, M=8, rho=4, 1e5 trials: asymptotic mean within 2%
     pair, cfg = _iid(8, 16, 4.0)
     sol = solve_fixed_point(pair, cfg)
-    pred = mean_logdet_asymptotic(pair, cfg, None, sol)
+    pred = mean_logdet_asymptotic(pair, cfg, sol)
     spec = TrialBatchSpec(config=cfg, pair=pair, n_trials=100_000, master_seed=31)
     summary = run_trials(spec)
     assert abs(summary.opt_mean - pred) / pred <= 0.02
@@ -140,7 +140,7 @@ def test_mean_logdet_matches_montecarlo_correlated():
     )
     cfg = SystemConfig(M=8, N=16, rho=10.0)
     sol = solve_fixed_point(pair, cfg)
-    pred = mean_logdet_asymptotic(pair, cfg, None, sol)
+    pred = mean_logdet_asymptotic(pair, cfg, sol)
     spec = TrialBatchSpec(config=cfg, pair=pair, n_trials=100_000, master_seed=32)
     summary = run_trials(spec)
     assert abs(summary.opt_mean - pred) / pred <= 0.02

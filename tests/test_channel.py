@@ -87,10 +87,10 @@ def test_correlation_pair_validation():
 def test_sample_channel_deterministic():
     pair = CorrelationPair.identity(3, 2)
     cfg = SystemConfig(M=2, N=3, rho=1.0)
-    h1 = sample_channel(pair, cfg, master_seed=42, trial_index=7).matrix
-    h2 = sample_channel(pair, cfg, master_seed=42, trial_index=7).matrix
+    h1 = sample_channel(pair, cfg, master_seed=42, trial_index=7)
+    h2 = sample_channel(pair, cfg, master_seed=42, trial_index=7)
     assert np.array_equal(h1, h2)
-    h3 = sample_channel(pair, cfg, master_seed=42, trial_index=8).matrix
+    h3 = sample_channel(pair, cfg, master_seed=42, trial_index=8)
     assert not np.allclose(h1, h3)
 
 
@@ -107,7 +107,7 @@ def test_sample_channel_unit_variance():
     k = 100_000
     acc = 0.0
     for i in range(k):
-        h = sample_channel(pair, cfg, 2024, i).matrix
+        h = sample_channel(pair, cfg, 2024, i)
         acc += abs(h[0, 0]) ** 2
     assert 0.99 <= acc / k <= 1.01
 
@@ -119,7 +119,7 @@ def test_sample_channel_receive_correlation():
     k = 100_000
     acc = 0.0 + 0.0j
     for i in range(k):
-        h = sample_channel(pair, cfg, 555, i).matrix
+        h = sample_channel(pair, cfg, 555, i)
         acc += h[0, 0] * np.conj(h[1, 0])
     est = acc / k
     assert abs(est - 0.7) <= 0.01
@@ -135,7 +135,7 @@ def test_sample_channel_full_kronecker_moment_complex_t():
     k = 100_000
     acc_rt = np.zeros((3, 2, 3, 2), dtype=np.complex128)
     for i in range(k):
-        h = sample_channel(pair, cfg, 777, i).matrix
+        h = sample_channel(pair, cfg, 777, i)
         acc_rt += np.einsum("ia,jb->iajb", h, h.conj())
     est = acc_rt / k
     tol = 4.0 / np.sqrt(k)
@@ -181,7 +181,7 @@ def test_sample_channel_matches_per_trial_philox_oracle(pair):
     cfg = SystemConfig(M=pair.m, N=pair.n, rho=1.0)
     seed = 20260810
     for i in (0, 1, 511, 512, 4097):
-        h = sample_channel(pair, cfg, seed, i).matrix
+        h = sample_channel(pair, cfg, seed, i)
         assert np.array_equal(h, _oracle_channel(pair, seed, i)), i
     # a chunk drawn by the Monte Carlo engine holds the same rows
     rows = _draw_channels(pair, seed, 500, 530)

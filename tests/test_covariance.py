@@ -117,7 +117,7 @@ def test_scaling_law_identity():
 def test_step_too_large():
     pair, cfg = _iid(2, 4, 100.0)
     with pytest.raises(StepTooLarge):
-        sinr_covariance(pair, cfg, step=2.0, richardson=False)
+        sinr_covariance(pair, cfg, step=2.0)
 
 
 def test_finite_m_gap_to_closed_forms_shrinks():

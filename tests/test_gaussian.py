@@ -14,6 +14,7 @@ from mimo_asympt import (
     mmse_mi_variance,
     optimal_mi_gaussian,
     outage_probability,
+    sinr_covariance,
 )
 
 
@@ -155,20 +156,29 @@ def test_c10_saturates_under_self_similar_extension():
             build_exponential_correlation(m, 0.5),
         )
         cfg = SystemConfig(M=m, N=2 * m, rho=4.0)
-        vals.append(mmse_mi_gaussian(pair, cfg, sigma_mode="fd").c10)
+        vals.append(mmse_mi_gaussian(pair, cfg).c10)
     drifts = np.abs(np.diff(vals))
     assert drifts[1] < drifts[0]
 
 
-def test_sigma_mode_knob():
+def test_covariance_path_choice():
+    # identity pair: the model is assembled from the closed forms
     pair, cfg = _iid(4, 8, 4.0)
-    closed = mmse_mi_gaussian(pair, cfg, sigma_mode="closed")
-    fd = mmse_mi_gaussian(pair, cfg, sigma_mode="fd")
-    auto = mmse_mi_gaussian(pair, cfg, sigma_mode="auto")
-    assert auto.c2 == closed.c2  # identity pair defaults to closed forms
-    assert fd.c2 > closed.c2     # finite-M difference path carries extra O(1/M)
+    closed = mmse_mi_gaussian(pair, cfg)
+    cf = iid_closed_forms(cfg)
+    assert closed.sigma.method == "iid-closed-form"
+    np.testing.assert_array_equal(np.diagonal(closed.sigma.sigma), cf.v_d / 4)
+    assert closed.sigma.sigma[0, 1] == cf.v_od / 16
+    assert closed.c2 == mmse_mi_variance(closed.mean_sinr, closed.sigma)
+    # the stencil on the same pair: the finite-M difference path carries extra O(1/M)
+    fd = sinr_covariance(pair, cfg)
+    assert fd.method == "central-4pt"
+    assert mmse_mi_variance(mean_sinr_asymptotic(pair, cfg), fd) > closed.c2
+    # correlated pair: the model is assembled from the stencil
     corr = CorrelationPair(
         build_exponential_correlation(8, 0.5), build_exponential_correlation(4, 0.3)
     )
-    with pytest.raises(ValueError):
-        mmse_mi_gaussian(corr, cfg, sigma_mode="closed")
+    model = mmse_mi_gaussian(corr, cfg)
+    assert model.sigma.method == "central-4pt"
+    np.testing.assert_array_equal(model.sigma.sigma, sinr_covariance(corr, cfg).sigma)
+    assert model.c2 == mmse_mi_variance(mean_sinr_asymptotic(corr, cfg), model.sigma)

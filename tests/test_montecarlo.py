@@ -36,7 +36,7 @@ def _spec(m=3, n=6, rho=4.0, trials=2000, seed=123):
 def test_single_trial_matches_direct_computation():
     spec = _spec(trials=1, seed=7)
     s = run_trials(spec)
-    h = sample_channel(spec.pair, spec.config, 7, 0).matrix
+    h = sample_channel(spec.pair, spec.config, 7, 0)
     gam = sinr_exact(h, spec.config.rho)
     assert s.mi_mean == pytest.approx(mutual_info_mmse(gam), rel=1e-12)
     assert s.opt_mean == pytest.approx(mutual_info_optimal(h, spec.config.rho), rel=1e-12)

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from mimo_asympt import EmpiricalSummary, ScenarioError, load_scenario, save_correlation_json
+from mimo_asympt import (
+    EmpiricalSummary,
+    ScenarioError,
+    build_exponential_correlation,
+    load_scenario,
+    save_correlation_json,
+)
 from mimo_asympt import cli
 from mimo_asympt.cli import bits_to_nats, main, nats_to_bits
 
@@ -271,3 +277,50 @@ def test_outage_mc_columns_never_rise_with_snr(tmp_path):
     p_mmse, p_opt = data[:, 2], data[:, 3]
     assert np.all(np.diff(p_mmse) <= 0) and np.all(np.diff(p_opt) <= 0)
     assert p_mmse[0] > p_mmse[-1]
+
+
+def _file_scenario(tmp_path, r, t, **overrides):
+    """A scenario whose correlations come from r.json and t.json (r or t may be raw text)."""
+    for name, a in (("r.json", r), ("t.json", t)):
+        if isinstance(a, str):
+            (tmp_path / name).write_text(a)
+        elif a is not None:
+            save_correlation_json(tmp_path / name, a)
+    doc = {"snr_db": 6.0, "rate_bpcu": 3.0, "trials": 100,
+           "correlation": {"type": "file", "r_path": "r.json", "t_path": "t.json"}}
+    doc.update(overrides)
+    return _write_scenario(tmp_path, **doc)
+
+
+@pytest.mark.parametrize("verb", ["asymptotics", "simulate", "outage"])
+def test_correlation_file_size_mismatch_exit_code(tmp_path, capsys, verb):
+    # R is 4x4 in an N = 16 scenario: refused before anything is computed
+    path = _file_scenario(tmp_path, build_exponential_correlation(4, 0.5),
+                          build_exponential_correlation(4, 0.3), M=4, N=16)
+    out = tmp_path / "out"
+    assert main([verb, "--scenario", str(path), "--out", str(out)]) == 2
+    assert "r.json" in capsys.readouterr().err
+    assert not (out / "asymptotics.json").exists()
+
+
+@pytest.mark.parametrize("t", [np.array([[1.0, 2.0], [2.0, 1.0]]), "not json", None],
+                         ids=["not-psd", "not-json", "missing"])
+def test_bad_correlation_file_exit_code(tmp_path, capsys, t):
+    path = _file_scenario(tmp_path, np.eye(3), t, M=2, N=3)
+    with pytest.raises(ScenarioError, match="t.json"):
+        load_scenario(path).build_pair()
+    assert main(["asymptotics", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "t.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("snr_db", [5000.0, -5000.0, [3.0, 5000.0]])
+def test_snr_outside_float_range_exit_code(tmp_path, snr_db):
+    path = _write_scenario(tmp_path, snr_db=snr_db)
+    with pytest.raises(ScenarioError, match="snr_db"):
+        load_scenario(path)
+    assert main(["asymptotics", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_scenario_linear_snr_grid(tmp_path):
+    s = load_scenario(_write_scenario(tmp_path, snr_db=[0.0, 10.0, -120.0]))
+    assert s.rho == (1.0, 10.0, 10.0 ** -12.0)

@@ -15,7 +15,7 @@ from mimo_asympt import (
     mean_logdet_asymptotic,
     mean_sinr_asymptotic,
     run_trials,
-    sinr_covariance,
+    sinr_covariance_exact,
     solve_fixed_point,
 )
 
@@ -45,9 +45,9 @@ print(f"optimal-receiver mean MI: simulated {summary.opt_mean:.4f} nats, "
       f"asymptotic {pred_logdet:.4f} nats "
       f"({abs(summary.opt_mean - pred_logdet) / pred_logdet:.2%} off)")
 
-sigma = sinr_covariance(pair, cfg).sigma
+sigma = sinr_covariance_exact(pair, cfg).sigma
 print()
-print("SINR covariance, finite-difference path vs simulation (diagonal):")
+print("SINR covariance, exact (implicit-differentiation) path vs simulation (diagonal):")
 print(f"{'stream':>7} {'simulated':>10} {'analytic':>10}")
 for k in range(M):
     print(f"{k:7d} {summary.sinr_cov[k, k]:10.4f} {sigma[k, k]:10.4f}")

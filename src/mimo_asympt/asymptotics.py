@@ -11,11 +11,12 @@ side (x = 1 leaves it untouched, x = 0 deletes stream k). Both traces only
 involve spectra, so each correlation matrix is diagonalized once and every
 iteration is O(M + N).
 
-Solved by damped alternating substitution. Plain substitution converges
-geometrically with rate m_t2*m_r2, which approaches 1 at high SNR; a
-safeguarded Aitken extrapolation on the t-sequence removes that slowdown
-(the alternating map is a scalar fixed point in t alone). Damping is halved
-whenever the residual grows.
+With the traces written t = f(r), r = g(t), h(t) = t - f(g(t)) = 0 is solved
+by Newton's method, h' = 1 - f'(r) g'(t) (1 - m_t2*m_r2 at the root). A step
+out of the sign bracket bisects it or, before any h > 0 point is known, is
+replaced by substitution t -> f(g(t)), which never passes the root since f o g
+increases. A deformation x < 0 makes h < 0 again near the domain edge, so
+there a Newton point with h < 0 bounds the root only once an h > 0 point does.
 """
 
 from dataclasses import dataclass
@@ -33,10 +34,6 @@ __all__ = [
     "mean_logdet_asymptotic",
     "mean_sinr_asymptotic",
 ]
-
-_ALPHA_MIN = 1.0 / 64.0
-_AITKEN_PERIOD = 4
-
 
 class NonConvergence(RuntimeError):
     """Fixed-point iteration exhausted max_iter without meeting tol."""
@@ -97,22 +94,22 @@ def deformed_transmit_spectrum(pair, deformation: Optional[Deformation]) -> np.n
     return np.linalg.eigvalsh(pair.T + (x - 1.0) * np.outer(u, u.conj()))
 
 
-def _trace_sum(eigs: np.ndarray, scale: float, sr: float, m: int) -> float:
-    # (1/M) Tr[ sqrt(rho) A (I + sqrt(rho) s A)^{-1} ] for Hermitian-spectrum A
+def _trace_sum(eigs: np.ndarray, scale: float, sr: float, m: int):
+    # (1/M) Tr[ sqrt(rho) A (I + sqrt(rho) s A)^{-1} ] for Hermitian-spectrum A, and d/ds
     denom = 1.0 + sr * scale * eigs
     if denom.min() <= 0.0:
-        # the resolvent pole was crossed; only possible for deformations with
-        # x < 0 large enough relative to 1/(sqrt(rho) t)
+        # the resolvent pole was crossed: a deformation x < 0 below -1/(sqrt(rho) t)
         raise StabilityViolation("deformed resolvent left the positive domain")
-    return float((sr / m) * np.sum(eigs / denom))
+    q = eigs / denom
+    return float((sr / m) * np.sum(q)), float(-(sr * sr / m) * np.sum(q * q))
 
 
 def solve_fixed_point(pair, config, deformation: Optional[Deformation] = None,
                       tol: float = 1e-12, max_iter: int = 10000) -> FixedPointSolution:
     """Solve the coupled (t, r) equations for the given deformation.
 
-    Deterministic in its inputs. Raises NonConvergence when max_iter is
-    exhausted; the exception carries (iterations, residual).
+    Converged when |t - f(g(t))| <= tol. Deterministic in its inputs. Raises
+    NonConvergence when max_iter is exhausted, carrying (iterations, residual).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -121,46 +118,30 @@ def solve_fixed_point(pair, config, deformation: Optional[Deformation] = None,
     lam = pair.r_eigvals
     nu = deformed_transmit_spectrum(pair, deformation)
 
-    t = r = sr * min(1.0, n / m) / (1.0 + sr)
-    alpha = 1.0
-    prev_res = np.inf
+    t, trusted = sr * min(1.0, n / m) / (1.0 + sr), True
+    lo, hi, f_lo = 0.0, np.inf, None     # h(lo) < 0 < h(hi), f_lo = F(lo)
     residual = np.inf
-    t_hist = []
-    iterations = 0
-
     for iterations in range(1, max_iter + 1):
-        t_new = (1.0 - alpha) * t + alpha * _trace_sum(lam, r, sr, m)
-        r_new = (1.0 - alpha) * r + alpha * _trace_sum(nu, t_new, sr, m)
-        residual = max(abs(t_new - _trace_sum(lam, r_new, sr, m)),
-                       abs(r_new - _trace_sum(nu, t_new, sr, m)))
-        t, r = t_new, r_new
+        try:
+            r, g_t = _trace_sum(nu, t, sr, m)
+            f_r, f_r_prime = _trace_sum(lam, r, sr, m)
+            h, dh = t - f_r, 1.0 - f_r_prime * g_t
+            residual = abs(h)
+        except StabilityViolation:
+            if trusted:   # no root before the domain edge
+                raise
+            h = -np.inf   # past the domain edge
         if residual <= tol:
             break
-        if residual > prev_res:
-            alpha = max(alpha * 0.5, _ALPHA_MIN)
-            t_hist.clear()
-        prev_res = residual
-
-        t_hist.append(t)
-        if len(t_hist) == _AITKEN_PERIOD:
-            d1 = t_hist[-2] - t_hist[-3]
-            d2 = t_hist[-1] - t_hist[-2]
-            denom = d2 - d1
-            if abs(denom) > 1e-300:
-                t_acc = t_hist[-1] - d2 * d2 / denom
-                if np.isfinite(t_acc) and t_acc > 0.0:
-                    try:
-                        r_acc = _trace_sum(nu, t_acc, sr, m)
-                        res_acc = max(abs(t_acc - _trace_sum(lam, r_acc, sr, m)),
-                                      abs(r_acc - _trace_sum(nu, t_acc, sr, m)))
-                    except StabilityViolation:
-                        res_acc = None  # extrapolation overshot the domain
-                    if res_acc is not None:
-                        t, r, residual = t_acc, r_acc, res_acc
-                        prev_res = residual
-                        if residual <= tol:
-                            break
-            t_hist.clear()
+        if h > 0.0:
+            hi = t
+        elif trusted:
+            lo, f_lo = t, f_r
+        # an untrusted point with h < 0 takes the fallback step from lo
+        t_new = t - h / dh if (trusted or h > 0.0) and dh > 0.0 else np.nan
+        inside = lo < t_new < hi
+        t = t_new if inside else (0.5 * (lo + hi) if hi < np.inf else f_lo)
+        trusted = not inside or hi < np.inf or nu.min() >= 0.0
     else:
         raise NonConvergence(max_iter, float(residual))
 

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .asymptotics import NonConvergence, StabilityViolation
-from .covariance import StepTooLarge, iid_closed_forms
+from .covariance import iid_closed_forms
 from .gaussian import mmse_mi_gaussian, mmse_mi_mean, optimal_mi_gaussian, outage_probability
 from .montecarlo import (
     TrialBatchSpec,
@@ -76,9 +76,9 @@ def _models(scenario: Scenario, pair, snr_db: float, rho: float, variant: str,
     config = scenario.config(rho)
     knobs = {"tol": scenario.tolerance, "max_iter": scenario.max_iter}
     try:
-        mmse = mmse_mi_gaussian(pair, config, variant=variant, step=scenario.fd_step, **knobs)
+        mmse = mmse_mi_gaussian(pair, config, variant=variant, **knobs)
         return mmse, optimal_mi_gaussian(pair, config, **knobs) if optimal else None
-    except (NonConvergence, StabilityViolation, StepTooLarge) as exc:
+    except (NonConvergence, StabilityViolation) as exc:
         raise _GridPointFailure(f"at snr_db={snr_db}: {exc}") from exc
 
 
@@ -164,8 +164,9 @@ def cmd_simulate(scenario: Scenario, out_dir: str, units: str) -> int:
 def cmd_compare(scenario: Scenario, out_dir: str, units: str) -> int:
     snr_db, rho = _single_point(scenario)
     pair = scenario.build_pair()
-    summary = run_trials(_spec(scenario, pair, rho))
+    # the models first, so a solver failure exits before the simulation
     mmse_model, opt_model = _models(scenario, pair, snr_db, rho, scenario.mean_variant)
+    summary = run_trials(_spec(scenario, pair, rho))
 
     lo = min(summary.mi_samples[0], summary.opt_samples[0])
     hi = max(summary.mi_samples[-1], summary.opt_samples[-1])

@@ -17,9 +17,9 @@ the as-printed form is tens of percent off), so comparisons report both.
 Under identity correlations the covariance fed to the assembly is the
 asymptotic closed forms (v_d/M, v_od/M^2): those are the coefficients
 the Gaussian limit is built from, and they reproduce simulated means and
-variances noticeably better than the finite-M difference path, whose extra
-O(1/M) content overshoots once mapped through the log. Correlated pairs use
-the finite-difference covariance, the only general path.
+variances noticeably better than the finite-M matrix, whose extra O(1/M)
+content overshoots once mapped through the log. Correlated pairs use the
+exact finite-M covariance, sinr_covariance_exact, the only general path.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +30,7 @@ from scipy.special import ndtr
 
 from .asymptotics import MeanSinrResult, StabilityViolation, mean_logdet_asymptotic, \
     mean_sinr_asymptotic, solve_fixed_point
-from .covariance import SinrCovariance, iid_closed_forms, sinr_covariance
+from .covariance import SinrCovariance, iid_closed_forms, sinr_covariance_exact
 
 __all__ = [
     "MutualInfoGaussian",
@@ -104,14 +104,15 @@ def mmse_mi_gaussian(pair, config, variant: str = "taylor", step: float = 1e-3,
     """Gaussian parameters of the MMSE receiver's mutual information.
 
     The covariance is the identity-correlation closed forms for an identity
-    pair and the finite-difference matrix (with this step) otherwise; the
-    model carries the mean SINRs and the covariance it was assembled from.
+    pair and the exact implicit-differentiation matrix otherwise; the model
+    carries the mean SINRs and the covariance it was assembled from. step
+    has no effect: it is kept only for callers that still pass it.
     """
     ms = mean_sinr_asymptotic(pair, config, tol=tol, max_iter=max_iter)
     if pair.is_identity:
         sigma = _closed_form_sigma(config)
     else:
-        sigma = sinr_covariance(pair, config, step=step, tol=tol, max_iter=max_iter)
+        sigma = sinr_covariance_exact(pair, config, tol=tol, max_iter=max_iter)
     c1, c10, c11 = mmse_mi_mean(ms, sigma, variant)
     return MutualInfoGaussian(c1=c1, c2=mmse_mi_variance(ms, sigma), c10=c10, c11=c11,
                               receiver="mmse", variant=variant, mean_sinr=ms, sigma=sigma)

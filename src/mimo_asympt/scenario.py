@@ -3,7 +3,8 @@
 A scenario pins everything needed to reproduce a run: antenna counts, an
 SNR grid in dB, target rates in bits per channel use, the correlation
 model, trial counts and the master seed, plus numerical knobs (mean
-variant, finite-difference step, fixed-point tolerance and max_iter).
+variant, fixed-point tolerance and max_iter; fd_step is accepted but read by
+no verb, since the Gaussian models use the exact covariance).
 Unknown keys are rejected, and so is an SNR whose linear value is not a
 positive finite float. The SNR grid is converted to linear rho here, once.
 """
@@ -121,7 +122,7 @@ class Scenario:
     trials: Optional[int]
     seed: Optional[int]
     mean_variant: str
-    fd_step: float
+    fd_step: float  # read by no verb; a step for direct sinr_covariance calls
     tolerance: float
     max_iter: int
     base_dir: str

@@ -64,7 +64,7 @@ def test_fixed_point_defects_at_solution():
 
 
 def test_high_snr_convergence():
-    # rate of plain substitution approaches 1 at 60 dB; Aitken must still land
+    # rate of plain substitution approaches 1 at 60 dB; Newton must still land
     pair, cfg = _iid(2, 2, 1e6)
     sol = solve_fixed_point(pair, cfg)
     g = iid_closed_forms(cfg).g

@@ -9,6 +9,7 @@ from mimo_asympt import (
     iid_closed_forms,
     logdet_joint_cumulant,
     sinr_covariance,
+    sinr_covariance_exact,
 )
 
 
@@ -132,3 +133,18 @@ def test_finite_m_gap_to_closed_forms_shrinks():
         gaps.append(abs(s[0, 0] - cf.v_d / m) / (cf.v_d / m))
     assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.2)
     assert gaps[1] / gaps[2] == pytest.approx(2.0, rel=0.2)
+
+
+def test_stencil_converges_onto_exact_covariance():
+    # the Richardson stencil's error is O(h^4), so its gap to the exact
+    # matrix shrinks ~16x per halving of the step
+    pair = CorrelationPair(
+        build_exponential_correlation(32, 0.5), build_exponential_correlation(16, 0.3)
+    )
+    cfg = SystemConfig(M=16, N=32, rho=10 ** 1.2)
+    exact = sinr_covariance_exact(pair, cfg)
+    assert exact.method == "implicit" and exact.step == 0.0
+    gaps = [np.max(np.abs(sinr_covariance(pair, cfg, step=h).sigma - exact.sigma))
+            for h in (2e-3, 1e-3, 5e-4)]
+    assert gaps[0] / gaps[1] >= 8.0
+    assert gaps[1] / gaps[2] >= 8.0

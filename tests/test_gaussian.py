@@ -15,6 +15,7 @@ from mimo_asympt import (
     optimal_mi_gaussian,
     outage_probability,
     sinr_covariance,
+    sinr_covariance_exact,
 )
 
 
@@ -174,11 +175,11 @@ def test_covariance_path_choice():
     fd = sinr_covariance(pair, cfg)
     assert fd.method == "central-4pt"
     assert mmse_mi_variance(mean_sinr_asymptotic(pair, cfg), fd) > closed.c2
-    # correlated pair: the model is assembled from the stencil
+    # correlated pair: the model is assembled from the exact covariance
     corr = CorrelationPair(
         build_exponential_correlation(8, 0.5), build_exponential_correlation(4, 0.3)
     )
     model = mmse_mi_gaussian(corr, cfg)
-    assert model.sigma.method == "central-4pt"
-    np.testing.assert_array_equal(model.sigma.sigma, sinr_covariance(corr, cfg).sigma)
+    assert model.sigma.method == "implicit"
+    np.testing.assert_array_equal(model.sigma.sigma, sinr_covariance_exact(corr, cfg).sigma)
     assert model.c2 == mmse_mi_variance(mean_sinr_asymptotic(corr, cfg), model.sigma)

@@ -324,3 +324,23 @@ def test_snr_outside_float_range_exit_code(tmp_path, snr_db):
 def test_scenario_linear_snr_grid(tmp_path):
     s = load_scenario(_write_scenario(tmp_path, snr_db=[0.0, 10.0, -120.0]))
     assert s.rho == (1.0, 10.0, 10.0 ** -12.0)
+
+
+@pytest.mark.parametrize("snr_db", [45.0, 60.0])
+def test_asymptotics_converges_at_high_snr(tmp_path, snr_db):
+    # t grows like sqrt(rho), so a fixed point that creeps up on the root
+    # stalls above the absolute tolerance; Newton's method lands on it
+    path = _write_scenario(tmp_path, snr_db=snr_db)
+    assert main(["asymptotics", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    row = json.loads((tmp_path / "out" / "asymptotics.json").read_text())["grid"][0]
+    assert row["gamma_bar"][0] == pytest.approx(row["g"], rel=1e-12)
+
+
+def test_compare_fails_before_the_simulation(tmp_path, monkeypatch, capsys):
+    def no_draw(spec):
+        raise AssertionError("compare drew channels before building its models")
+
+    monkeypatch.setattr(cli, "run_trials", no_draw)
+    path = _write_scenario(tmp_path, M=4, N=8, snr_db=40.0, max_iter=3)
+    assert main(["compare", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "snr_db=40.0" in capsys.readouterr().err

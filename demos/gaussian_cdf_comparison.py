@@ -5,6 +5,8 @@ simulates 50k channels, and prints quantile-level agreement plus the
 Kolmogorov-Smirnov distances.
 """
 
+from statistics import NormalDist
+
 import numpy as np
 
 from mimo_asympt import (
@@ -16,7 +18,6 @@ from mimo_asympt import (
     optimal_mi_gaussian,
     run_trials,
 )
-from scipy.special import ndtri
 
 LN2 = np.log(2.0)
 
@@ -48,8 +49,9 @@ n = summary.n_trials
 for q in (0.01, 0.1, 0.5, 0.9, 0.99):
     sim_m = summary.mi_samples[int(q * n)] / LN2
     sim_o = summary.opt_samples[int(q * n)] / LN2
-    gm = (mmse.c1 + np.sqrt(mmse.c2) * ndtri(q)) / LN2
-    go = (opt.c1 + np.sqrt(opt.c2) * ndtri(q)) / LN2
+    z = NormalDist().inv_cdf(q)
+    gm = (mmse.c1 + np.sqrt(mmse.c2) * z) / LN2
+    go = (opt.c1 + np.sqrt(opt.c2) * z) / LN2
     print(f"{q:9.2f} {sim_m:9.4f} {gm:11.4f} {sim_o:9.4f} {go:10.4f}")
 
 print()

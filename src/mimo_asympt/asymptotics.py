@@ -180,9 +180,8 @@ def mean_sinr_asymptotic(pair, config, tol: float = 1e-12,
     sol0 = solve_fixed_point(pair, config, None, tol=tol, max_iter=max_iter)
     t0, r0 = sol0.t, sol0.r
 
-    d, u = np.linalg.eigh(pair.T)
-    d = np.clip(d, 0.0, None)
-    w = np.abs(u) ** 2                      # w[k, j] = |U_kj|^2
+    d = pair.t_eigvals
+    w = np.abs(pair.t_eigvecs) ** 2         # w[k, j] = |U_kj|^2
     denom = 1.0 + sr * t0 * d
     eta = w @ (1.0 / denom)
     eta_prime = -(w @ (sr * d / denom**2))

@@ -10,13 +10,12 @@ independent Philox stream, so sampling is reproducible under any execution
 order or worker count.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 import json
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.linalg import toeplitz
 
 __all__ = [
     "SystemConfig",
@@ -63,7 +62,8 @@ def _as_readonly_complex(a) -> np.ndarray:
     return out
 
 
-def _check_correlation(name: str, a: np.ndarray) -> None:
+def _check_correlation(name: str, a: np.ndarray):
+    """Validate a correlation matrix and return its _psd_factors."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     herm = np.max(np.abs(a - a.conj().T))
@@ -71,9 +71,22 @@ def _check_correlation(name: str, a: np.ndarray) -> None:
         raise ValueError(f"{name} not Hermitian: max |A - A^H| = {herm:.3e}")
     if np.max(np.abs(np.diag(a).imag)) > _HERMITICITY_TOL:
         raise ValueError(f"{name} has non-real diagonal entries")
-    w_min = float(np.linalg.eigvalsh(a)[0])
-    if w_min < -_PSD_TOL:
-        raise ValueError(f"{name} not PSD: smallest eigenvalue {w_min:.3e}")
+    return _psd_factors(name, a)
+
+
+def _psd_factors(name: str, a: np.ndarray):
+    """(eigenvalues, eigenvectors, Hermitian square root) of a PSD matrix, by one eigh.
+
+    Eigenvalues in [-1e-10, 0) are clipped to zero so that slightly
+    rank-deficient matrices survive; anything more negative raises ValueError.
+    """
+    w, u = np.linalg.eigh(a)
+    if w[0] < -_PSD_TOL:
+        raise ValueError(f"{name} not PSD: smallest eigenvalue {w[0]:.3e}")
+    w = np.clip(w, 0.0, None)
+    s = (u * np.sqrt(w)) @ u.conj().T
+    # symmetrize away roundoff so the result is exactly Hermitian
+    return w, u, 0.5 * (s + s.conj().T)
 
 
 @dataclass(frozen=True)
@@ -81,18 +94,26 @@ class CorrelationPair:
     """Receive (N x N) and transmit (M x M) correlation matrices.
 
     Both must be Hermitian within 1e-12 and PSD within -1e-10 on the
-    smallest eigenvalue. Matrices are stored read-only; derived factors
-    (square roots, spectra) are cached on first use.
+    smallest eigenvalue. Each is stored read-only and decomposed once, by
+    one eigh: the PSD check, the clipped spectrum (ascending) and the square
+    root come from it, and so do T's eigenvectors, in the spectrum's order.
     """
 
     R: np.ndarray
     T: np.ndarray
+    r_eigvals: np.ndarray = field(init=False, repr=False, compare=False)
+    r_sqrt: np.ndarray = field(init=False, repr=False, compare=False)
+    t_eigvals: np.ndarray = field(init=False, repr=False, compare=False)
+    t_eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
+    t_sqrt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "R", _as_readonly_complex(self.R))
-        object.__setattr__(self, "T", _as_readonly_complex(self.T))
-        _check_correlation("R", self.R)
-        _check_correlation("T", self.T)
+        r, t = _as_readonly_complex(self.R), _as_readonly_complex(self.T)
+        (r_w, _, r_s), (t_w, t_u, t_s) = _check_correlation("R", r), _check_correlation("T", t)
+        for name, value in (("R", r), ("T", t), ("r_eigvals", r_w), ("r_sqrt", r_s),
+                            ("t_eigvals", t_w), ("t_eigvecs", t_u), ("t_sqrt", t_s)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def identity(cls, n: int, m: int) -> "CorrelationPair":
@@ -112,22 +133,6 @@ class CorrelationPair:
             np.array_equal(self.R, np.eye(self.n)) and np.array_equal(self.T, np.eye(self.m))
         )
 
-    @cached_property
-    def r_sqrt(self) -> np.ndarray:
-        return psd_sqrt(self.R)
-
-    @cached_property
-    def t_sqrt(self) -> np.ndarray:
-        return psd_sqrt(self.T)
-
-    @cached_property
-    def r_eigvals(self) -> np.ndarray:
-        return np.clip(np.linalg.eigvalsh(self.R), 0.0, None)
-
-    @cached_property
-    def t_eigvals(self) -> np.ndarray:
-        return np.clip(np.linalg.eigvalsh(self.T), 0.0, None)
-
 
 def build_exponential_correlation(n: int, zeta: float) -> np.ndarray:
     """Exponential Toeplitz correlation matrix, entry (i, j) = zeta^|i-j|.
@@ -140,24 +145,13 @@ def build_exponential_correlation(n: int, zeta: float) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (0.0 <= zeta < 1.0):
         raise ValueError(f"zeta must lie in [0, 1), got {zeta!r}")
-    return toeplitz(zeta ** np.arange(n)).astype(np.float64)
+    k = np.arange(n)
+    return (zeta ** k)[np.abs(np.subtract.outer(k, k))].astype(np.float64)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
-
-    Eigenvalues in [-1e-10, 0) are clipped to zero so that slightly
-    rank-deficient correlation matrices survive; anything more negative
-    raises ValueError.
-    """
-    a = np.asarray(a)
-    w, u = np.linalg.eigh(a)
-    if w[0] < -_PSD_TOL:
-        raise ValueError(f"matrix not PSD: smallest eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    s = (u * np.sqrt(w)) @ u.conj().T
-    # symmetrize away roundoff so the result is exactly Hermitian
-    return 0.5 * (s + s.conj().T)
+    """Hermitian PSD square root via eigendecomposition (clipped as in _psd_factors)."""
+    return _psd_factors("matrix", np.asarray(a))[2]
 
 
 def _draw_channels(pair: CorrelationPair, master_seed: int, lo: int, hi: int) -> np.ndarray:

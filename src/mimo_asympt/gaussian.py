@@ -23,10 +23,10 @@ exact finite-M covariance, sinr_covariance_exact, the only general path.
 """
 
 from dataclasses import dataclass, field
+import math
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .asymptotics import MeanSinrResult, StabilityViolation, mean_logdet_asymptotic, \
     mean_sinr_asymptotic, solve_fixed_point
@@ -141,6 +141,14 @@ def optimal_mi_gaussian(pair, config, tol: float = 1e-12,
                               receiver="optimal", variant=None)
 
 
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(z):
+    """Standard normal CDF of a scalar or an array, accurate in both tails."""
+    return 0.5 * np.asarray(_ERFC(-np.asarray(z) / math.sqrt(2.0)), dtype=np.float64)
+
+
 def outage_probability(model: MutualInfoGaussian, rate_nats: float) -> float:
     """P(I <= R) under the Gaussian model: Phi((R - c1) / sqrt(c2)).
 
@@ -151,4 +159,4 @@ def outage_probability(model: MutualInfoGaussian, rate_nats: float) -> float:
         if rate_nats < model.c1:
             return 0.0
         return 0.5 if rate_nats == model.c1 else 1.0
-    return float(ndtr((rate_nats - model.c1) / np.sqrt(model.c2)))
+    return float(_normal_cdf((rate_nats - model.c1) / math.sqrt(model.c2)))

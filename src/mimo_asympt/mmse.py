@@ -2,12 +2,12 @@
 
 Per-stream MMSE SINRs, the MMSE mutual information sum, and the optimal
 (log-det) mutual information, all in nats. One batched Cholesky path on the
-Gram matrix H^H H serves single channels and Monte Carlo stacks alike; the
-column-deletion form is kept as an independent reference.
+Gram matrix H^H H serves single channels and Monte Carlo stacks alike. The
+column-deletion and trace-identity forms are kept as references: they solve
+with LU (np.linalg.solve), independent of the Cholesky path.
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "gram",
@@ -78,8 +78,7 @@ def sinr_deflated(h: np.ndarray, rho: float) -> np.ndarray:
     for k in range(m):
         hk = np.delete(h, k, axis=1)
         b = np.eye(n) + (rho / m) * (hk @ hk.conj().T)
-        c = cho_factor(0.5 * (b + b.conj().T), lower=True)
-        out[k] = (rho / m) * (h[:, k].conj() @ cho_solve(c, h[:, k])).real
+        out[k] = (rho / m) * (h[:, k].conj() @ np.linalg.solve(b, h[:, k])).real
     return out
 
 
@@ -96,8 +95,7 @@ def sinr_trace_identity(h: np.ndarray, rho: float, k: int) -> float:
         raise IndexError(f"stream index {k} out of range for M={m}")
     hk_col = h[:, k]
     b = np.eye(n) + (rho / m) * (h @ h.conj().T - np.outer(hk_col, hk_col.conj()))
-    c = cho_factor(0.5 * (b + b.conj().T), lower=True)
-    return float((rho / m) * (hk_col.conj() @ cho_solve(c, hk_col)).real)
+    return float((rho / m) * (hk_col.conj() @ np.linalg.solve(b, hk_col)).real)
 
 
 def mutual_info_mmse(gammas: np.ndarray) -> float:

@@ -4,10 +4,10 @@ Trials are split into fixed batches of 4096; each batch regenerates its
 channels from the per-trial Philox streams, in 512-row chunks, and evaluates
 the exact receiver quantities in stacked form at every SNR of the run, so
 the points of an SNR grid share one draw. Batches may run on any number of
-threads: every reduction is either exact (math.fsum over per-batch partial
-sums, collected in batch order) or a deterministic function of arrays
-assembled in trial order, so the resulting summary is bit-identical for any
-worker count.
+threads: every sum is taken within each fixed batch by numpy and the
+per-batch partial sums are combined exactly (math.fsum, in batch order), and
+every other reduction is a deterministic function of arrays assembled in
+trial order, so the resulting summary is bit-identical for any worker count.
 
 Sample retention: the full sorted mutual-information vectors are kept up to
 `retention_cap` trials (default 1e7). Beyond that only scalar batch sums are
@@ -25,10 +25,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .channel import CorrelationPair, SystemConfig, _draw_channels
-from .gaussian import MutualInfoGaussian
+from .gaussian import MutualInfoGaussian, _normal_cdf
 from .mmse import gram, receiver_values
 
 __all__ = [
@@ -142,8 +141,8 @@ def _batch_stats(spec: TrialBatchSpec, rhos, lo: int, hi: int, keep_arrays: bool
             "g1": gam.sum(axis=0),
             "g2": gam.T @ gam,
             "g3": (gam**3).sum(axis=0),
-            "mi_s": (math.fsum(mi), math.fsum(mi**2), math.fsum(mi**3)),
-            "opt_s": (math.fsum(opt), math.fsum(opt**2)),
+            "mi_s": np.array([mi.sum(), (mi**2).sum(), (mi**3).sum()]),
+            "opt_s": np.array([opt.sum(), (opt**2).sum()]),
             "mi_minmax": (float(mi.min()), float(mi.max())),
             "opt_minmax": (float(opt.min()), float(opt.max())),
         }
@@ -222,11 +221,8 @@ def _summarize(ordered, n: int, m: int, master_seed: int, sketch=None) -> Empiri
     m3 = g3 / n - 3 * sinr_mean * np.diagonal(g2) / n + 2 * sinr_mean**3
     sinr_skew = np.where(m2 > 0, m3 / np.where(m2 > 0, m2, 1.0) ** 1.5, 0.0)
 
-    mi_s1 = math.fsum(b["mi_s"][0] for b in ordered)
-    mi_s2 = math.fsum(b["mi_s"][1] for b in ordered)
-    mi_s3 = math.fsum(b["mi_s"][2] for b in ordered)
-    opt_s1 = math.fsum(b["opt_s"][0] for b in ordered)
-    opt_s2 = math.fsum(b["opt_s"][1] for b in ordered)
+    mi_s1, mi_s2, mi_s3 = _fsum_axis([b["mi_s"] for b in ordered])
+    opt_s1, opt_s2 = _fsum_axis([b["opt_s"] for b in ordered])
 
     mi_mean = mi_s1 / n
     opt_mean = opt_s1 / n
@@ -275,10 +271,7 @@ def run_trials_grid(spec: TrialBatchSpec, rhos, n_workers=None,
     n = spec.n_trials
     workers = _worker_count(n_workers)
     keep = n <= retention_cap
-    # materialize cached factors before the pool so threads share them
-    _ = spec.pair.is_identity
-    _ = spec.pair.r_sqrt
-    _ = spec.pair.t_sqrt
+    _ = spec.pair.is_identity  # cache it before the pool so threads share it
 
     lo_hi = [(lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
     results = {}
@@ -345,7 +338,7 @@ def ks_distance(summary: EmpiricalSummary, model: MutualInfoGaussian) -> float:
         raise ValueError("model variance must be positive for a KS distance")
     xs = _samples_for(summary, model.receiver)
     n = len(xs)
-    f_model = ndtr((xs - model.c1) / math.sqrt(model.c2))
+    f_model = _normal_cdf((xs - model.c1) / math.sqrt(model.c2))
     upper = np.arange(1, n + 1) / n - f_model
     lower = f_model - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))

@@ -108,6 +108,27 @@ def test_outage_probability_table_values():
     assert outage_probability(model, 2.0 - 3 * s) == pytest.approx(1.3499e-3, rel=1e-3)
 
 
+# Phi(z) to 20 digits, from mpmath.ncdf at 30-digit working precision
+_NORMAL_CDF_REFERENCE = [
+    (-37, 5.7255712225245768227e-300),
+    (-20, 2.7536241186062336951e-89),
+    (-10, 7.619853024160526066e-24),
+    (-5, 2.8665157187919391167e-7),
+    (-1, 0.15865525393145705141),
+    (0, 0.5),
+    (1, 0.84134474606854294859),
+    (5, 0.99999971334842812081),
+    (8, 0.9999999999999993779),
+]
+
+
+@pytest.mark.parametrize("z, phi", _NORMAL_CDF_REFERENCE)
+def test_outage_probability_tails_and_centre(z, phi):
+    model = MutualInfoGaussian(c1=0.0, c2=1.0, c10=0.0, c11=0.0, receiver="mmse",
+                               variant="taylor")
+    assert outage_probability(model, float(z)) == pytest.approx(phi, rel=1e-13, abs=0.0)
+
+
 def test_outage_monotone_in_rate():
     model = MutualInfoGaussian(c1=5.0, c2=1.3, c10=1.0, c11=0.0, receiver="mmse",
                                variant="taylor")

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -344,3 +347,15 @@ def test_compare_fails_before_the_simulation(tmp_path, monkeypatch, capsys):
     path = _write_scenario(tmp_path, M=4, N=8, snr_db=40.0, max_iter=3)
     assert main(["compare", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "snr_db=40.0" in capsys.readouterr().err
+
+
+def test_cli_import_pulls_in_no_scipy():
+    # the package runs on numpy, jsonschema and the standard library alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, mimo_asympt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -147,7 +147,7 @@ def _single_point(scenario: Scenario):
     return grid[0]
 
 
-def cmd_simulate(scenario: Scenario, out_dir: str, units: str) -> int:
+def cmd_simulate(scenario: Scenario, out_dir: str) -> int:
     _, rho = _single_point(scenario)
     spec = _spec(scenario, scenario.build_pair(), rho)
     summary = run_trials(spec)
@@ -161,7 +161,7 @@ def cmd_simulate(scenario: Scenario, out_dir: str, units: str) -> int:
     return 0
 
 
-def cmd_compare(scenario: Scenario, out_dir: str, units: str) -> int:
+def cmd_compare(scenario: Scenario, out_dir: str) -> int:
     snr_db, rho = _single_point(scenario)
     pair = scenario.build_pair()
     # the models first, so a solver failure exits before the simulation
@@ -190,7 +190,7 @@ def cmd_compare(scenario: Scenario, out_dir: str, units: str) -> int:
     return 0
 
 
-def cmd_outage(scenario: Scenario, out_dir: str, units: str) -> int:
+def cmd_outage(scenario: Scenario, out_dir: str) -> int:
     if not scenario.rate_bpcu or len(scenario.rate_bpcu) != 1:
         raise ScenarioError("outage needs a scalar rate_bpcu")
     rate_nats = bits_to_nats(scenario.rate_bpcu[0])
@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--units", choices=["nats", "bpcu"], default="bpcu")
+        if name == "asymptotics":
+            p.add_argument("--units", choices=["nats", "bpcu"], default="bpcu")
     return parser
 
 
@@ -244,7 +245,8 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](scenario, args.out, args.units)
+        units = {"units": args.units} if args.command == "asymptotics" else {}
+        return _COMMANDS[args.command](scenario, args.out, **units)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

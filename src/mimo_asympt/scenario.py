@@ -5,17 +5,18 @@ SNR grid in dB, target rates in bits per channel use, the correlation
 model, trial counts and the master seed, plus numerical knobs (mean
 variant, fixed-point tolerance and max_iter; fd_step is accepted but read by
 no verb, since the Gaussian models use the exact covariance).
-Unknown keys are rejected, and so is an SNR whose linear value is not a
-positive finite float. The SNR grid is converted to linear rho here, once.
+Each key is checked against one table: unknown keys are rejected, integers
+must be JSON integers (not 2.0 or true), numbers must be finite, and every
+SNR needs a positive finite linear value. The SNR grid is converted to
+linear rho here, once.
 """
 
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import jsonschema
 
 from .channel import (
     CorrelationPair,
@@ -24,68 +25,73 @@ from .channel import (
     load_correlation_json,
 )
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "SCENARIO_SCHEMA"]
+__all__ = ["Scenario", "ScenarioError", "load_scenario"]
 
 
 class ScenarioError(ValueError):
-    """Scenario file missing, unparseable, or failing schema validation."""
+    """Scenario file missing, unparseable, or with a key outside its rule."""
 
 
-_number_or_array = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": {"type": "number"}, "minItems": 1},
-    ]
+def _number(v) -> bool:
+    # False for bool, NaN, +-inf and an integer no float can hold
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _numbers(v) -> bool:
+    return _number(v) or (type(v) is list and len(v) > 0 and all(map(_number, v)))
+
+
+_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+_POSITIVE = (lambda v: _number(v) and v > 0, "a finite number > 0")
+_ZETA = (lambda v: _number(v) and 0 <= v < 1, "a number in [0, 1)")
+_PATH = (lambda v: type(v) is str, "a string")
+_GRID = (_numbers, "a finite number or a non-empty array of finite numbers")
+
+# the keys besides "type" that each correlation type takes, all required
+_CORRELATIONS = {
+    "identity": {},
+    "exponential": {"zeta_r": _ZETA, "zeta_t": _ZETA},
+    "file": {"r_path": _PATH, "t_path": _PATH},
 }
 
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["M", "N", "correlation"],
-    "properties": {
-        "M": {"type": "integer", "minimum": 1},
-        "N": {"type": "integer", "minimum": 1},
-        "snr_db": _number_or_array,
-        "rate_bpcu": _number_or_array,
-        "correlation": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type"],
-                    "properties": {"type": {"const": "identity"}},
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type", "zeta_r", "zeta_t"],
-                    "properties": {
-                        "type": {"const": "exponential"},
-                        "zeta_r": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                        "zeta_t": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type", "r_path", "t_path"],
-                    "properties": {
-                        "type": {"const": "file"},
-                        "r_path": {"type": "string"},
-                        "t_path": {"type": "string"},
-                    },
-                },
-            ]
-        },
-        "trials": {"type": "integer", "minimum": 1},
-        # Philox keys are 64-bit: a larger seed would alias a smaller one
-        "seed": {"type": "integer", "minimum": 0, "maximum": 18446744073709551615},
-        "mean_variant": {"enum": ["taylor", "as-printed"]},
-        "fd_step": {"type": "number", "exclusiveMinimum": 0},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "max_iter": {"type": "integer", "minimum": 1},
-    },
+# each scenario key -> (its check, what the error says the value must be)
+_KEYS = {
+    "M": _COUNT,
+    "N": _COUNT,
+    "snr_db": _GRID,
+    "rate_bpcu": _GRID,
+    "correlation": (lambda v: type(v) is dict and v.get("type") in list(_CORRELATIONS),
+                    'an object whose "type" is "identity", "exponential" or "file"'),
+    "trials": _COUNT,
+    # Philox keys are 64-bit: a larger seed would alias a smaller one
+    "seed": (lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2^64)"),
+    "mean_variant": (lambda v: v in ("taylor", "as-printed"), '"taylor" or "as-printed"'),
+    "fd_step": _POSITIVE,
+    "tolerance": _POSITIVE,
+    "max_iter": _COUNT,
 }
+
+
+def _check(doc: dict, rules: dict, required, where: str) -> None:
+    unknown = sorted(set(doc) - set(rules))
+    if unknown:
+        raise ScenarioError(f"{where} has unknown keys {unknown}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ScenarioError(f"{where} lacks required keys {missing}")
+    for key, value in doc.items():
+        check, words = rules[key]
+        if not check(value):
+            raise ScenarioError(f"{where} key '{key}' must be {words}, got {value!r}")
+
+
+def _validate(doc) -> None:
+    if type(doc) is not dict:
+        raise ScenarioError(f"a scenario must be a JSON object, got {type(doc).__name__}")
+    _check(doc, _KEYS, ("M", "N", "correlation"), "scenario")
+    fields = dict(doc["correlation"])
+    rules = _CORRELATIONS[fields.pop("type")]
+    _check(fields, rules, rules, "correlation")
 
 
 def _as_tuple(v) -> Optional[Tuple[float, ...]]:
@@ -163,10 +169,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ScenarioError(f"scenario schema violation: {exc.message}") from exc
+    _validate(doc)
     if doc["N"] < doc["M"]:
         raise ScenarioError(f"need N >= M, got M={doc['M']}, N={doc['N']}")
     snr_db = _as_tuple(doc.get("snr_db"))

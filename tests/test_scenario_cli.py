@@ -50,6 +50,11 @@ def test_scenario_rejects_unknown_keys(tmp_path):
     path = _write_scenario(tmp_path, extra_knob=1)
     with pytest.raises(ScenarioError):
         load_scenario(path)
+    # a document that is not an object has no keys to check
+    path.write_text("[3, 6]")
+    with pytest.raises(ScenarioError, match="object"):
+        load_scenario(path)
+    assert main(["asymptotics", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_scenario_rejects_bad_correlation(tmp_path):
@@ -60,6 +65,11 @@ def test_scenario_rejects_bad_correlation(tmp_path):
                                                   "zeta_r": 0.5, "zeta_t": 1.0})
     with pytest.raises(ScenarioError):
         load_scenario(path)
+    path = _write_scenario(tmp_path, correlation={"type": "file", "r_path": "r.json",
+                                                  "t_path": "t.json", "zeta_r": 0.5})
+    with pytest.raises(ScenarioError, match="zeta_r"):
+        load_scenario(path)
+    assert main(["asymptotics", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_scenario_rejects_beta_above_one(tmp_path):
@@ -236,6 +246,13 @@ def test_scenario_rejects_seed_of_64_bits_or_more(tmp_path):
     with pytest.raises(ScenarioError):
         load_scenario(path)
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    # the other bounded keys refuse what lies outside their range too
+    for key, value in [("M", True), ("max_iter", 0), ("tolerance", 0),
+                       ("mean_variant", "x")]:
+        path = _write_scenario(tmp_path, **{key: value})
+        with pytest.raises(ScenarioError, match=f"'{key}'"):
+            load_scenario(path)
+        assert main(["compare", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
@@ -316,12 +333,43 @@ def test_bad_correlation_file_exit_code(tmp_path, capsys, t):
     assert "t.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("snr_db", [5000.0, -5000.0, [3.0, 5000.0]])
+@pytest.mark.parametrize("snr_db", [5000.0, -5000.0, [3.0, 5000.0],
+                                    pytest.param(10**400, id="400-digit-int"),
+                                    pytest.param([], id="empty")])
 def test_snr_outside_float_range_exit_code(tmp_path, snr_db):
     path = _write_scenario(tmp_path, snr_db=snr_db)
     with pytest.raises(ScenarioError, match="snr_db"):
         load_scenario(path)
     assert main(["asymptotics", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("key,value", [("M", 3.0), ("N", 6.0), ("trials", 2000.0),
+                                       ("seed", 2026.0), ("max_iter", 10000.0)])
+def test_float_valued_integer_exit_code(tmp_path, capsys, key, value):
+    # 6.0 is a JSON number, not an integer: refused, never truncated or aliased
+    path = _write_scenario(tmp_path, **{key: value})
+    assert main(["compare", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("rate_bpcu", math.nan), ("rate_bpcu", math.inf),
+                                       ("rate_bpcu", -math.inf), ("tolerance", math.nan),
+                                       ("tolerance", math.inf), ("fd_step", math.nan),
+                                       ("fd_step", math.inf)])
+def test_non_finite_number_exit_code(tmp_path, key, value):
+    # json.dumps writes NaN and Infinity, which json.load reads back as floats
+    path = _write_scenario(tmp_path, **{key: value})
+    with pytest.raises(ScenarioError, match=key):
+        load_scenario(path)
+    assert main(["outage", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("verb", ["simulate", "compare", "outage"])
+def test_units_is_an_asymptotics_option_only(tmp_path, verb):
+    path = _write_scenario(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--scenario", str(path), "--out", str(tmp_path / "out"), "--units", "nats"])
+    assert exc.value.code == 2
 
 
 def test_scenario_linear_snr_grid(tmp_path):
@@ -350,12 +398,13 @@ def test_compare_fails_before_the_simulation(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_import_pulls_in_no_scipy():
-    # the package runs on numpy, jsonschema and the standard library alone
+    # the package runs on numpy and the standard library alone
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, mimo_asympt.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'jsonschema', 'referencing', 'rpds')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -7,15 +7,19 @@ by two coupled scalar equations,
     r = (1/M) Tr[ sqrt(rho) Tt (I + sqrt(rho) t Tt)^{-1} ],   Tt = T J_k(x),
 
 where J_k(x) = I + (x - 1) d_k rescales one diagonal entry of the transmit
-side (x = 1 leaves it untouched, x = 0 deletes stream k). Both traces only
-involve spectra, so each correlation matrix is diagonalized once and every
-iteration is O(M + N).
+side (x = 1 leaves it untouched, x = 0 deletes stream k). T^{1/2} J T^{1/2}
+is the rank-one change T + c u u^H of T (c = x - 1, u = T^{1/2} e_k), so in
+T's eigenbasis T = U diag(d) U^H, with s = sqrt(rho) t and q = 1/(1 + s d),
+Sherman-Morrison gives Tr[Tt (I + s Tt)^{-1}] = sum d q + c a2 / (1 + s c a1),
+a1 = sum |U_kj|^2 d q, a2 = sum |U_kj|^2 d q^2; the domain ends where
+1 + s c a1 <= 0. One iteration over K deformations (lanes) costs O(K (M + N)).
 
-With the traces written t = f(r), r = g(t), h(t) = t - f(g(t)) = 0 is solved
-by Newton's method, h' = 1 - f'(r) g'(t) (1 - m_t2*m_r2 at the root). A step
-out of the sign bracket bisects it or, before any h > 0 point is known, is
-replaced by substitution t -> f(g(t)), which never passes the root since f o g
-increases. A deformation x < 0 makes h < 0 again near the domain edge, so
+Per lane, h(t) = t - f(g(t)) = 0 (t = f(r), r = g(t)) is solved by Newton's
+method from t0 = sqrt(rho) min(1, N/M) / (1 + sqrt(rho)) until |h| <= tol t,
+and one more step lands t at round-off. A step out of the lane's sign bracket
+bisects it or, before any h > 0 point is known, is replaced by substitution
+t -> f(g(t)), which never passes the root since f o g increases. A
+deformation x < 0 with T_kk > 0 makes h < 0 again near the domain edge, so
 there a Newton point with h < 0 bounds the root only once an h > 0 point does.
 """
 
@@ -52,7 +56,7 @@ class StabilityViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class Deformation:
-    """Single-entry transmit deformation J_index(x); index is 0-based."""
+    """Transmit deformation J_index(x), 0-based; arrays of index and x are a stack of lanes."""
 
     index: int
     x: float
@@ -60,6 +64,8 @@ class Deformation:
 
 @dataclass(frozen=True)
 class FixedPointSolution:
+    """A fixed point (t, r); for a stack of lanes t, r and residual are arrays."""
+
     t: float
     r: float
     residual: float
@@ -83,88 +89,96 @@ class MeanSinrResult:
     m_r2: float
 
 
-def deformed_transmit_spectrum(pair, deformation: Optional[Deformation]) -> np.ndarray:
-    """Eigenvalues of T J_k(x) (real, via the Hermitian form T^{1/2} J T^{1/2})."""
-    if deformation is None or deformation.x == 1.0:
-        return pair.t_eigvals
-    k, x = deformation.index, deformation.x
-    if not (0 <= k < pair.m):
-        raise IndexError(f"deformation index {k} out of range for M={pair.m}")
-    u = pair.t_sqrt[:, k]
-    return np.linalg.eigvalsh(pair.T + (x - 1.0) * np.outer(u, u.conj()))
-
-
-def _trace_sum(eigs: np.ndarray, scale: float, sr: float, m: int):
-    # (1/M) Tr[ sqrt(rho) A (I + sqrt(rho) s A)^{-1} ] for Hermitian-spectrum A, and d/ds
-    denom = 1.0 + sr * scale * eigs
-    if denom.min() <= 0.0:
-        # the resolvent pole was crossed: a deformation x < 0 below -1/(sqrt(rho) t)
-        raise StabilityViolation("deformed resolvent left the positive domain")
-    q = eigs / denom
-    return float((sr / m) * np.sum(q)), float(-(sr * sr / m) * np.sum(q * q))
-
-
 def solve_fixed_point(pair, config, deformation: Optional[Deformation] = None,
                       tol: float = 1e-12, max_iter: int = 10000) -> FixedPointSolution:
-    """Solve the coupled (t, r) equations for the given deformation.
+    """Solve the coupled (t, r) equations for the given deformation (None: J = I).
 
-    Converged when |t - f(g(t))| <= tol. Deterministic in its inputs. Raises
-    NonConvergence when max_iter is exhausted, carrying (iterations, residual).
+    A stack of lanes gives per-lane arrays of t, r and residual, and iterations
+    counts the passes. A lane stops once |t - f(g(t))| <= tol t and one more
+    Newton step has been taken. Deterministic in its inputs. Raises
+    NonConvergence when max_iter is exhausted, carrying (iterations, largest residual).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m, n, rho = config.M, config.N, config.rho
-    sr = np.sqrt(rho)
-    lam = pair.r_eigvals
-    nu = deformed_transmit_spectrum(pair, deformation)
+    m, n, rho, sr = config.M, config.N, config.rho, np.sqrt(config.rho)
+    k, x0 = (0, 1.0) if deformation is None else (deformation.index, deformation.x)
+    index, x = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(np.asarray(x0, dtype=float)))
+    if index.ndim != 1 or index.min() < 0 or index.max() >= pair.m:
+        raise IndexError(f"deformation index out of range for M={pair.m}")
+    d, lam, c = pair.t_eigvals, pair.r_eigvals, x - 1.0
+    w = np.abs(pair.t_eigvecs[index]) ** 2   # w[i, j] = |U_kj|^2 for lane i's stream k
+    psd = (x >= 0.0) | (pair.T.diagonal().real[index] == 0.0)   # T^{1/2} J T^{1/2} >= 0
 
-    t, trusted = sr * min(1.0, n / m) / (1.0 + sr), True
-    lo, hi, f_lo = 0.0, np.inf, None     # h(lo) < 0 < h(hi), f_lo = F(lo)
-    residual = np.inf
-    for iterations in range(1, max_iter + 1):
-        try:
-            r, g_t = _trace_sum(nu, t, sr, m)
-            f_r, f_r_prime = _trace_sum(lam, r, sr, m)
-            h, dh = t - f_r, 1.0 - f_r_prime * g_t
-            residual = abs(h)
-        except StabilityViolation:
-            if trusted:   # no root before the domain edge
-                raise
-            h = -np.inf   # past the domain edge
-        if residual <= tol:
-            break
-        if h > 0.0:
-            hi = t
-        elif trusted:
-            lo, f_lo = t, f_r
-        # an untrusted point with h < 0 takes the fallback step from lo
-        t_new = t - h / dh if (trusted or h > 0.0) and dh > 0.0 else np.nan
-        inside = lo < t_new < hi
-        t = t_new if inside else (0.5 * (lo + hi) if hi < np.inf else f_lo)
-        trusted = not inside or hi < np.inf or nu.min() >= 0.0
-    else:
-        raise NonConvergence(max_iter, float(residual))
+    t = np.full(len(index), sr * min(1.0, n / m) / (1.0 + sr))
+    trusted, polished = np.ones(len(t), dtype=bool), np.zeros(len(t), dtype=bool)
+    lo, hi, f_lo = np.zeros(len(t)), np.full(len(t), np.inf), np.zeros(len(t))
+    with np.errstate(divide="ignore", invalid="ignore"):   # lanes past the edge give inf
+        for iterations in range(1, max_iter + 1):
+            s = sr * t
+            q = 1.0 / (1.0 + s[:, None] * d)
+            dq = d * q
+            wdq = w * dq
+            a1, a2, b2 = wdq.sum(1), (wdq * q).sum(1), (wdq * dq * q).sum(1)
+            sca = s * c * a1
+            e = c / (1.0 + sca)   # Sherman-Morrison weight; 1 - s d q = q
+            r = (sr / m) * (dq.sum(1) + e * a2)
+            g_t = -(rho / m) * ((dq * dq).sum(1) + e * (2.0 * b2 + e * a2 * a2))
+            p = lam / (1.0 + sr * r[:, None] * lam)
+            f_r = (sr / m) * p.sum(1)
+            h, dh = t - f_r, 1.0 + (rho / m) * (p * p).sum(1) * g_t
+            # past a resolvent pole: 1 + s c a1 <= 0 (T side) or 1 + sqrt(rho) r lam_max <= 0
+            edge = (sca <= -1.0) | (sr * r * lam[-1] <= -1.0)
+            if np.any(edge & trusted):   # no root before the domain edge
+                raise StabilityViolation("deformed resolvent left the positive domain")
+            h[edge] = -np.inf
+            residual = np.abs(h)
+            converged = residual <= tol * t
+            done = converged & polished
+            if done.all():
+                break
+            positive = h > 0.0
+            hi = np.where(positive, t, hi)
+            low = ~positive & trusted
+            lo, f_lo = np.where(low, t, lo), np.where(low, f_r, f_lo)
+            # per lane h(lo) < 0 < h(hi) and f_lo = f(g(lo)); an untrusted point
+            # with h < 0 takes the fallback step from lo
+            newton, rising = t - h / dh, dh > 0.0
+            step = np.where((trusted | positive) & rising, newton, np.nan)
+            inside = (lo < step) & (step < hi)
+            bounded = hi < np.inf
+            trusted = ~inside | bounded | psd
+            step = np.where(inside, step, np.where(bounded, 0.5 * (lo + hi), f_lo))
+            # a converged lane takes one polishing Newton step, then stays put
+            t = np.where(done, t, np.where(converged & rising, newton, step))
+            polished |= converged
+        else:
+            raise NonConvergence(max_iter, float(residual[~done].max()))
 
-    return FixedPointSolution(t=float(t), r=float(r), residual=float(residual),
-                              iterations=iterations, deformation=deformation)
+    if np.ndim(k) + np.ndim(x0) == 0:
+        t, r, residual = float(t[0]), float(r[0]), float(residual[0])
+    return FixedPointSolution(t=t, r=r, residual=residual, iterations=iterations,
+                              deformation=deformation)
 
 
 def mean_logdet_asymptotic(pair, config, solution: FixedPointSolution) -> float:
     """Asymptotic mean of Tr log[I + (rho/M) H J H^H] at the given fixed point.
 
     Tr log(I + sqrt(rho) t Tt) - M t r + Tr log(I + sqrt(rho) r R), in nats,
-    with J the solution's own deformation. For J = I this is the mean mutual
-    information of the optimal receiver.
+    with J = J_k(x) the solution's own deformation. By the determinant lemma
+    the first term is sum log(1 + s d) + log(1 + s c a1), with s = sqrt(rho) t,
+    c = x - 1 and a1 = sum_j |U_kj|^2 d_j / (1 + s d_j). For J = I this is the
+    mean mutual information of the optimal receiver.
     """
-    m, rho = config.M, config.rho
-    sr = np.sqrt(rho)
-    lam = pair.r_eigvals
-    nu = deformed_transmit_spectrum(pair, solution.deformation)
-    arg_t = sr * solution.t * nu
-    arg_r = sr * solution.r * lam
-    if np.min(arg_t) <= -1.0 or np.min(arg_r) <= -1.0:
+    m, sr, dfm = config.M, np.sqrt(config.rho), solution.deformation
+    k, x = (0, 1.0) if dfm is None else (dfm.index, dfm.x)
+    d, lam = pair.t_eigvals, pair.r_eigvals
+    s = sr * solution.t
+    a1 = (np.abs(pair.t_eigvecs[k]) ** 2) @ (d / (1.0 + s * d))
+    arg_c, arg_r = s * (x - 1.0) * a1, sr * solution.r * lam
+    if arg_c <= -1.0 or np.min(arg_r) <= -1.0:
         raise StabilityViolation("log argument left the positive domain")
-    return float(np.log1p(arg_t).sum() - m * solution.t * solution.r + np.log1p(arg_r).sum())
+    return float(np.log1p(s * d).sum() + np.log1p(arg_c) - m * solution.t * solution.r
+                 + np.log1p(arg_r).sum())
 
 
 def mean_sinr_asymptotic(pair, config, tol: float = 1e-12,

@@ -15,10 +15,10 @@ likewise for l. The SINR covariance is the mixed second derivative of F at
 x_k = x_l = 0 (the deflated base point). The x-dependence flows both through
 the explicit J factors and implicitly through (t, r). Production uses
 sinr_covariance_exact: each x moves only its own stream's node, so implicit
-differentiation of one deflated solve per stream gives the derivative. The
-oracle, sinr_covariance, re-solves the fixed point at every node of a central
-four-point stencil with one Richardson level (step h and h/2); it converges
-onto the exact matrix at order h^4.
+differentiation at the M deflated fixed points, one stacked solve, gives the
+derivative. The oracle, sinr_covariance, re-solves the fixed point at every
+node of a central four-point stencil with one Richardson level (step h and
+h/2), again in one stacked solve; it converges onto the exact matrix at order h^4.
 
 Evaluated this way at finite M, the matrix carries genuine O(1/M) corrections
 beyond the i.i.d. closed forms (which are the M -> infinity coefficients);
@@ -27,7 +27,7 @@ SINR covariance at M = 8, where the closed forms sit ~10% low.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,34 +69,44 @@ class IidClosedForms(NamedTuple):
     v_od: float
 
 
-class _Node(NamedTuple):
-    t: float
-    r: float
-    phi: np.ndarray  # J_k T (I + t sqrt(rho) J_k T)^{-1}
+class _Lanes(NamedTuple):
+    """Deformed lanes J_k(x) at their fixed points, in T's eigenbasis (s = sqrt(rho) t)."""
+
+    index: np.ndarray
+    q: np.ndarray     # (K, M): 1 / (1 + s d)
+    e: np.ndarray     # Sherman-Morrison weight c / (1 + s c a1), c = x - 1
+    a_r: np.ndarray   # (K, N): lam / (1 + sqrt(rho) r lam), so M_r(a, b) = (rho/M) a_r.a_r
 
 
-def _make_node(pair, config, k: int, x: float, tol: float, max_iter: int) -> _Node:
-    sol = solve_fixed_point(pair, config, Deformation(k, x), tol=tol, max_iter=max_iter)
-    sr = np.sqrt(config.rho)
-    jt = np.array(pair.T)
-    jt[k, :] *= x
-    b = np.eye(config.M) + sr * sol.t * jt
-    phi = (np.eye(config.M) - np.linalg.inv(b)) / (sr * sol.t)
-    return _Node(t=sol.t, r=sol.r, phi=phi)
+def _solve_lanes(pair, config, index, x, tol: float, max_iter: int) -> _Lanes:
+    sol = solve_fixed_point(pair, config, Deformation(index, x), tol=tol, max_iter=max_iter)
+    sr, d, lam = np.sqrt(config.rho), pair.t_eigvals, pair.r_eigvals
+    q = 1.0 / (1.0 + sr * sol.t[:, None] * d)
+    a1 = np.sum(np.abs(pair.t_eigvecs[index]) ** 2 * (d * q), axis=1)
+    return _Lanes(index, q, (x - 1.0) / (1.0 + sr * sol.t * (x - 1.0) * a1),
+                  lam / (1.0 + sr * sol.r[:, None] * lam))
 
 
-def _kernel(node_k: _Node, node_l: _Node, pair, config) -> float:
-    m, rho = config.M, config.rho
-    sr = np.sqrt(rho)
-    m_t = (rho / m) * np.trace(node_k.phi @ node_l.phi).real
-    lam = pair.r_eigvals
-    m_r = (rho / m) * float(
-        np.sum(lam**2 / ((1.0 + sr * node_k.r * lam) * (1.0 + sr * node_l.r * lam)))
-    )
-    arg = m_t * m_r
-    if arg >= 1.0:
-        raise StabilityViolation(f"1 - M_t*M_r = {1.0 - arg:.3e} <= 0")
-    return float(-np.log1p(-arg))
+def _kernel(lanes: _Lanes, a, b, pair, config) -> np.ndarray:
+    """F = -log(1 - M_t M_r) between every lane in a and every lane in b (index arrays).
+
+    phi = J_k T (I + s J_k T)^{-1} is T Q plus a rank-one term, Q = (I + s T)^{-1},
+    so with w = |U_k|^2 and z = U_k (row k of the eigenvectors)
+    Tr[phi_a phi_b] = dq_a.dq_b + e_b q_a.(w d^2 q^2)_b + e_a (w d^2 q^2)_a.q_b
+                      + e_a e_b |(z d q)_a.(conj(z) q)_b|^2,
+    and no M x M matrix is formed.
+    """
+    d, vecs = pair.t_eigvals, pair.t_eigvecs
+    (q_a, e_a, r_a, z_a), (q_b, e_b, r_b, z_b) = (
+        (lanes.q[i], lanes.e[i], lanes.a_r[i], vecs[lanes.index[i]]) for i in (a, b))
+    tr = ((d * q_a) @ (d * q_b).T
+          + e_b * (q_a @ (np.abs(z_b) ** 2 * (d * q_b) ** 2).T)
+          + e_a[:, None] * ((np.abs(z_a) ** 2 * (d * q_a) ** 2) @ q_b.T)
+          + np.outer(e_a, e_b) * np.abs((z_a * d * q_a) @ (z_b.conj() * q_b).T) ** 2)
+    p = (config.rho / config.M) ** 2 * tr * (r_a @ r_b.T)
+    if p.max() >= 1.0:
+        raise StabilityViolation(f"1 - M_t*M_r = {1.0 - p.max():.3e} <= 0")
+    return -np.log1p(-p)
 
 
 def logdet_joint_cumulant(pair, config, k: int, l: int, x_k: float, x_l: float,
@@ -107,28 +117,19 @@ def logdet_joint_cumulant(pair, config, k: int, l: int, x_k: float, x_l: float,
     x_k = x_l = 1 (no deformation) this is the asymptotic variance of the
     optimal-receiver mutual information.
     """
-    node_k = _make_node(pair, config, k, x_k, tol, max_iter)
-    node_l = _make_node(pair, config, l, x_l, tol, max_iter)
-    return _kernel(node_k, node_l, pair, config)
-
-
-def _mixed_difference(nodes, pair, config, i: int, j: int, h: float) -> float:
-    f = {}
-    for xi in (h, -h):
-        for xj in (h, -h):
-            f[(xi, xj)] = _kernel(nodes[(i, xi)], nodes[(j, xj)], pair, config)
-    return (f[(h, h)] - f[(h, -h)] - f[(-h, h)] + f[(-h, -h)]) / (4.0 * h * h)
+    lanes = _solve_lanes(pair, config, np.array([k, l]), np.array([x_k, x_l], dtype=float),
+                         tol, max_iter)
+    return float(_kernel(lanes, [0], [1], pair, config)[0, 0])
 
 
 def sinr_covariance(pair, config, step: float = 1e-3, tol: float = 1e-12,
-                    max_iter: int = 10000, exploit_symmetry: bool = True) -> SinrCovariance:
+                    max_iter: int = 10000) -> SinrCovariance:
     """Full M x M SINR covariance via mixed central differences around x = 0.
 
     Each entry uses the four corners (+-h, +-h), Richardson-combined with the
     half-step stencil. For i = j the two slots carry independent parameters on
-    the same diagonal entry. Under exact identity correlations only the (0,0)
-    and (0,1) entries are computed and broadcast (permutation symmetry);
-    pass exploit_symmetry=False to force the full loop.
+    the same diagonal entry. All 4M nodes (every stream at +-h and +-h/2) come
+    from one stacked solve.
 
     Raises StepTooLarge when the stencil leaves the saddle-point stability
     region; fixed-point NonConvergence propagates as itself.
@@ -137,35 +138,17 @@ def sinr_covariance(pair, config, step: float = 1e-3, tol: float = 1e-12,
         raise ValueError("step must be positive")
     m = config.M
     steps = (step, step / 2.0)
-
-    iid_fast = exploit_symmetry and pair.is_identity
-
-    def entry(i: int, j: int, nodes) -> float:
-        coarse, fine = (_mixed_difference(nodes, pair, config, i, j, h) for h in steps)
-        return (4.0 * fine - coarse) / 3.0
-
-    indices = [0, 1] if (iid_fast and m >= 2) else ([0] if iid_fast else list(range(m)))
-    xs = [s * sgn for s in steps for sgn in (+1.0, -1.0)]
-    nodes = {}
+    xs = np.repeat([x for h in steps for x in (h, -h)], m)   # lanes: +h, -h, +h/2, -h/2
     try:
-        for k in indices:
-            for x in xs:
-                nodes[(k, x)] = _make_node(pair, config, k, x, tol, max_iter)
-        sigma = np.empty((m, m))
-        if iid_fast:
-            diag = entry(0, 0, nodes)
-            off = entry(0, 1, nodes) if m >= 2 else 0.0
-            sigma.fill(off)
-            np.fill_diagonal(sigma, diag)
-        else:
-            for i in range(m):
-                for j in range(i, m):
-                    sigma[i, j] = sigma[j, i] = entry(i, j, nodes)
+        lanes = _solve_lanes(pair, config, np.tile(np.arange(m), 4), xs, tol, max_iter)
+        fs = [_kernel(lanes, nodes, nodes, pair, config)
+              for nodes in np.arange(4 * m).reshape(2, 2 * m)]
     except StabilityViolation as exc:
-        raise StepTooLarge(
-            f"stencil with step {step} left the stable region: {exc}"
-        ) from exc
-    return SinrCovariance(sigma=sigma, step=step)
+        raise StepTooLarge(f"stencil with step {step} left the stable region: {exc}") from exc
+    coarse, fine = ((f[:m, :m] - f[:m, m:] - f[m:, :m] + f[m:, m:]) / (4.0 * h * h)
+                    for f, h in zip(fs, steps))
+    sigma = (4.0 * fine - coarse) / 3.0
+    return SinrCovariance(sigma=0.5 * (sigma + sigma.T), step=step)
 
 
 def sinr_covariance_exact(pair, config, tol: float = 1e-12,
@@ -177,22 +160,25 @@ def sinr_covariance_exact(pair, config, tol: float = 1e-12,
     g_x = (sqrt(rho)/M) Tr[B^{-1} E_k T B^{-1}], g_t = -(rho/M) Tr phi_k^2 and
     dphi_k = B^{-1} E_k T B^{-1} - sqrt(rho) dt_k phi_k^2. Then, with p = M_t M_r,
     Sigma_kl = d_k p d_l p / (1-p)^2 + d_k d_l p / (1-p); StabilityViolation if p >= 1.
+    All M deflated streams are one stacked solve, and every step runs on the stack.
     """
-    m, rho = config.M, config.rho
-    sr = np.sqrt(rho)
-    lam = pair.r_eigvals
-    rows = []
-    for k in range(m):
-        node = _make_node(pair, config, k, 0.0, tol, max_iter)
-        phi2 = node.phi @ node.phi
-        b_inv = np.eye(m) - sr * node.t * node.phi
-        u, v = b_inv[:, k], pair.T[k] @ b_inv   # B^{-1} E_k T B^{-1} = u v^T
-        a = lam / (1.0 + sr * node.r * lam)
-        f_prime = -(rho / m) * np.sum(a * a)
-        g_t = -(rho / m) * np.trace(phi2).real
-        dr = (sr / m) * (v @ u).real / (1.0 - g_t * f_prime)
-        rows.append((node.phi, np.outer(u, v) - sr * f_prime * dr * phi2, a, -sr * dr * a * a))
-    phi, dphi, a_r, da_r = (np.array(z) for z in zip(*rows))
+    m, rho, sr = config.M, config.rho, np.sqrt(config.rho)
+    lanes = _solve_lanes(pair, config, np.arange(m), np.zeros(m), tol, max_iter)
+    # Sherman-Morrison in T = U diag(d) U^H, Q = (I + s T)^{-1}: u = B^{-1} e_k = -e Q e_k,
+    # v = e_k^T T B^{-1} = -e e_k^T T Q and phi = T Q + e Q e_k e_k^T T Q = T Q + u v^T / e
+    d, vecs, a_r = pair.t_eigvals, pair.t_eigvecs, lanes.a_r
+    vecs = vecs if vecs.imag.any() else vecs.real   # a real T: real arithmetic, 4x fewer flops
+    dq, e = d * lanes.q, lanes.e[:, None]
+    u = -e * ((lanes.q * vecs.conj()) @ vecs.T)
+    v = -e * ((vecs * dq) @ vecs.conj().T)
+    phi = (vecs * dq[:, None, :]) @ vecs.conj().T + (u / e)[:, :, None] * v[:, None, :]
+    phi2 = phi @ phi
+    f_prime = -(rho / m) * np.sum(a_r * a_r, axis=1)
+    g_t = -(rho / m) * np.trace(phi2, axis1=1, axis2=2).real
+    dr = (sr / m) * np.sum(v * u, axis=1).real / (1.0 - g_t * f_prime)
+    # B^{-1} E_k T B^{-1} = u v^T
+    dphi = u[:, :, None] * v[:, None, :] - (sr * f_prime * dr)[:, None, None] * phi2
+    da_r = -sr * dr[:, None] * a_r * a_r
 
     # Tr[X_k Y_l] = <vec X_k, vec Y_l^T>, so each kernel factor and its slot
     # derivatives (d: first slot) are (rho/M) times one (M, K) @ (K, M) product

@@ -67,7 +67,7 @@ _KEYS = {
     "seed": (lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2^64)"),
     "mean_variant": (lambda v: v in ("taylor", "as-printed"), '"taylor" or "as-printed"'),
     "fd_step": _POSITIVE,
-    "tolerance": _POSITIVE,
+    "tolerance": (lambda v: _number(v) and 0 < v <= 1e-3, "a finite number in (0, 1e-3]"),
     "max_iter": _COUNT,
 }
 

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,20 @@ def test_iid_reduction_hits_closed_form(beta, rho):
     assert sol.residual <= 1e-12
 
 
+def test_polishing_step_reaches_round_off():
+    # i.i.d. M = N = 2 at 9 dB: after the stopping test one more Newton step
+    # puts t sqrt(rho) at round-off from the closed form, worked in 40 digits
+    rho = 10.0 ** 0.9
+    pair, cfg = _iid(2, 2, rho)
+    sol = solve_fixed_point(pair, cfg)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r = Decimal(rho)
+        g = (-1 + (1 + 4 * r).sqrt()) / 2   # beta = 1
+        rel = abs(Decimal(sol.t) * Decimal(rho).sqrt() - g) / g
+    assert rel <= 1e-15
+
+
 def test_scalar_symmetric_case():
     # M = N = 1, rho = 2: t = r = (-1 + sqrt(1+4 rho)) / (2 sqrt(rho)) = 1/sqrt(2)
     pair, cfg = _iid(1, 1, 2.0)
@@ -47,6 +63,26 @@ def test_zero_snr_limit():
     assert sol.t == pytest.approx(sr * 2.0, rel=1e-6)
     assert sol.r == pytest.approx(sr, rel=1e-6)
     assert mean_logdet_asymptotic(pair, cfg, sol) <= 1e-6
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 2.0, -0.02])
+def test_deformed_logdet_matches_dense_slogdet(x):
+    # the determinant lemma against the dense log-dets of I + s T^{1/2} J T^{1/2}
+    # and I + sqrt(rho) r R, on a complex T
+    rng = np.random.default_rng(11)
+    y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    pair = CorrelationPair(build_exponential_correlation(8, 0.5), y @ y.conj().T / 4)
+    cfg = SystemConfig(M=4, N=8, rho=6.0)
+    sr, k = np.sqrt(cfg.rho), 2
+    sol = solve_fixed_point(pair, cfg, Deformation(k, x))
+    j = np.eye(4)
+    j[k, k] = x
+    t_half = pair.t_sqrt
+    sign_t, logdet_t = np.linalg.slogdet(np.eye(4) + sr * sol.t * t_half @ j @ t_half)
+    sign_r, logdet_r = np.linalg.slogdet(np.eye(8) + sr * sol.r * np.asarray(pair.R))
+    assert sign_t.real > 0 and sign_r.real > 0
+    dense = logdet_t - 4 * sol.t * sol.r + logdet_r
+    assert mean_logdet_asymptotic(pair, cfg, sol) == pytest.approx(dense, rel=1e-12)
 
 
 def test_fixed_point_defects_at_solution():

@@ -10,10 +10,11 @@ without failing any other test, so each is pinned here.
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 from mimo_asympt import cli
-from mimo_asympt.asymptotics import solve_fixed_point
+from mimo_asympt.asymptotics import Deformation, solve_fixed_point
 from mimo_asympt.channel import sample_channel
 from mimo_asympt.covariance import sinr_covariance
 from mimo_asympt.gaussian import mmse_mi_gaussian, optimal_mi_gaussian
@@ -73,7 +74,10 @@ def test_worker_calls_by_name_and_keyword(tmp_path):
     mmse_mi_gaussian(pair, cfg, variant=sc.mean_variant, step=sc.fd_step, **knobs)
     optimal_mi_gaussian(pair, cfg, **knobs)
     sinr_covariance(pair, cfg, step=sc.fd_step, **knobs)
-    assert solve_fixed_point(pair, cfg, None, **knobs).iterations >= 1
+    # the tracer sums .iterations over every call, the stacked ones included
+    for deformation in (None, Deformation(np.arange(2), np.zeros(2))):
+        iterations = solve_fixed_point(pair, cfg, deformation, **knobs).iterations
+        assert type(iterations) is int and iterations >= 1
 
     spec = TrialBatchSpec(config=cfg, pair=pair, n_trials=64, master_seed=5)
     summary = run_trials(spec, n_workers=1)

@@ -68,12 +68,14 @@ def test_joint_cumulant_swap_symmetry():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_identity_broadcast_matches_full_loop():
-    # the symmetry fast path must agree with the brute-force loop
+def test_identity_stencil_is_permutation_symmetric():
+    # every stream's nodes are solved and differenced: an identity pair must
+    # still give one value on the diagonal and one off it
     pair, cfg = _iid(3, 6, 4.0)
-    fast = sinr_covariance(pair, cfg, exploit_symmetry=True).sigma
-    full = sinr_covariance(pair, cfg, exploit_symmetry=False).sigma
-    np.testing.assert_allclose(fast, full, rtol=1e-6, atol=1e-12)
+    s = sinr_covariance(pair, cfg).sigma
+    off = s[~np.eye(3, dtype=bool)]
+    assert np.ptp(np.diagonal(s)) <= 1e-12 * s[0, 0]
+    assert np.ptp(off) <= 1e-12 * abs(off[0])
 
 
 def test_identity_permutation_symmetry_and_positivity():

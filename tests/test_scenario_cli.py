@@ -247,7 +247,7 @@ def test_scenario_rejects_seed_of_64_bits_or_more(tmp_path):
         load_scenario(path)
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     # the other bounded keys refuse what lies outside their range too
-    for key, value in [("M", True), ("max_iter", 0), ("tolerance", 0),
+    for key, value in [("M", True), ("max_iter", 0), ("tolerance", 0), ("tolerance", 1e300),
                        ("mean_variant", "x")]:
         path = _write_scenario(tmp_path, **{key: value})
         with pytest.raises(ScenarioError, match=f"'{key}'"):

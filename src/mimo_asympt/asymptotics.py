@@ -23,7 +23,7 @@ deformation x < 0 with T_kk > 0 makes h < 0 again near the domain edge, so
 there a Newton point with h < 0 bounds the root only once an h > 0 point does.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -64,13 +64,22 @@ class Deformation:
 
 @dataclass(frozen=True)
 class FixedPointSolution:
-    """A fixed point (t, r); for a stack of lanes t, r and residual are arrays."""
+    """A fixed point (t, r) and each lane's resolvent weights there, from the last pass.
+
+    q = 1/(1 + s d), the Sherman-Morrison weight e = c/(1 + s c a1) (0 for J = I)
+    and a_r = lam/(1 + sqrt(rho) r lam). For a stack of lanes t, r, residual and
+    e are arrays, and q and a_r hold one row per lane.
+    """
 
     t: float
     r: float
     residual: float
     iterations: int
     deformation: Optional[Deformation] = None
+    # arrays, so they stay out of == and repr
+    q: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    e: Optional[float] = field(default=None, compare=False, repr=False)
+    a_r: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,9 @@ class MeanSinrResult:
     """Leading-order mean SINRs, their 1/N corrections, and the pieces behind them.
 
     gamma_bar[k] = 1/eta[k] - 1 with eta the diagonal of (I + t0 T sqrt(rho))^{-1};
-    delta_gamma[k] = (1/M) (eta_prime[k]^2 / eta[k]^3) m_r2 / (1 - m_t2 m_r2).
+    delta_gamma[k] = (1/M) (eta_prime[k]^2 / eta[k]^3) m_r2 / (1 - m_t2 m_r2), with
+    m_t2 = (rho/M) sum (d q)^2 and m_r2 = (rho/M) sum a_r^2. solution is the
+    undeformed fixed point all of them were read from.
     """
 
     gamma_bar: np.ndarray
@@ -87,16 +98,17 @@ class MeanSinrResult:
     eta_prime: np.ndarray
     m_t2: float
     m_r2: float
+    solution: FixedPointSolution = field(compare=False, repr=False)
 
 
 def solve_fixed_point(pair, config, deformation: Optional[Deformation] = None,
                       tol: float = 1e-12, max_iter: int = 10000) -> FixedPointSolution:
     """Solve the coupled (t, r) equations for the given deformation (None: J = I).
 
-    A stack of lanes gives per-lane arrays of t, r and residual, and iterations
-    counts the passes. A lane stops once |t - f(g(t))| <= tol t and one more
-    Newton step has been taken. Deterministic in its inputs. Raises
-    NonConvergence when max_iter is exhausted, carrying (iterations, largest residual).
+    A stack of lanes gives per-lane arrays, and iterations counts the passes.
+    A lane stops once |t - f(g(t))| <= tol t and one more Newton step has been
+    taken. Deterministic in its inputs. Raises NonConvergence when max_iter is
+    exhausted, carrying (iterations, largest residual).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -155,9 +167,10 @@ def solve_fixed_point(pair, config, deformation: Optional[Deformation] = None,
             raise NonConvergence(max_iter, float(residual[~done].max()))
 
     if np.ndim(k) + np.ndim(x0) == 0:
-        t, r, residual = float(t[0]), float(r[0]), float(residual[0])
+        t, r, residual, e = (float(v[0]) for v in (t, r, residual, e))
+        q, p = q[0], p[0]
     return FixedPointSolution(t=t, r=r, residual=residual, iterations=iterations,
-                              deformation=deformation)
+                              deformation=deformation, q=q, e=e, a_r=p)
 
 
 def mean_logdet_asymptotic(pair, config, solution: FixedPointSolution) -> float:
@@ -166,14 +179,14 @@ def mean_logdet_asymptotic(pair, config, solution: FixedPointSolution) -> float:
     Tr log(I + sqrt(rho) t Tt) - M t r + Tr log(I + sqrt(rho) r R), in nats,
     with J = J_k(x) the solution's own deformation. By the determinant lemma
     the first term is sum log(1 + s d) + log(1 + s c a1), with s = sqrt(rho) t,
-    c = x - 1 and a1 = sum_j |U_kj|^2 d_j / (1 + s d_j). For J = I this is the
-    mean mutual information of the optimal receiver.
+    c = x - 1 and a1 = sum_j |U_kj|^2 d_j q_j. For J = I this is the mean
+    mutual information of the optimal receiver.
     """
     m, sr, dfm = config.M, np.sqrt(config.rho), solution.deformation
     k, x = (0, 1.0) if dfm is None else (dfm.index, dfm.x)
     d, lam = pair.t_eigvals, pair.r_eigvals
     s = sr * solution.t
-    a1 = (np.abs(pair.t_eigvecs[k]) ** 2) @ (d / (1.0 + s * d))
+    a1 = (np.abs(pair.t_eigvecs[k]) ** 2) @ (d * solution.q)
     arg_c, arg_r = s * (x - 1.0) * a1, sr * solution.r * lam
     if arg_c <= -1.0 or np.min(arg_r) <= -1.0:
         raise StabilityViolation("log argument left the positive domain")
@@ -185,24 +198,18 @@ def mean_sinr_asymptotic(pair, config, tol: float = 1e-12,
                          max_iter: int = 10000) -> MeanSinrResult:
     """Per-stream mean SINRs with their 1/N corrections.
 
-    Everything is evaluated at the undeformed (J = I) solution (t0, r0):
-    the deformation enters only through the linearized shift that produces
-    delta_gamma. Raises StabilityViolation if 1 - m_t2 m_r2 <= 0.
+    Everything is read from the weights q and a_r of the undeformed (J = I)
+    solution: the deformation enters only through the linearized shift that
+    produces delta_gamma. Raises StabilityViolation if 1 - m_t2 m_r2 <= 0.
     """
     m, rho = config.M, config.rho
-    sr = np.sqrt(rho)
-    sol0 = solve_fixed_point(pair, config, None, tol=tol, max_iter=max_iter)
-    t0, r0 = sol0.t, sol0.r
-
-    d = pair.t_eigvals
+    sol = solve_fixed_point(pair, config, None, tol=tol, max_iter=max_iter)
+    d, q = pair.t_eigvals, sol.q
     w = np.abs(pair.t_eigvecs) ** 2         # w[k, j] = |U_kj|^2
-    denom = 1.0 + sr * t0 * d
-    eta = w @ (1.0 / denom)
-    eta_prime = -(w @ (sr * d / denom**2))
-
-    lam = pair.r_eigvals
-    m_t2 = float(np.sum((sr * d / denom) ** 2) / m)
-    m_r2 = float(np.sum((sr * lam / (1.0 + sr * r0 * lam)) ** 2) / m)
+    eta = w @ q
+    eta_prime = -np.sqrt(rho) * (w @ (d * q * q))
+    m_t2 = (rho / m) * float(np.sum((d * q) ** 2))
+    m_r2 = (rho / m) * float(np.sum(sol.a_r ** 2))
     stability = 1.0 - m_t2 * m_r2
     if stability <= 0.0:
         raise StabilityViolation(
@@ -212,4 +219,4 @@ def mean_sinr_asymptotic(pair, config, tol: float = 1e-12,
     gamma_bar = 1.0 / eta - 1.0
     delta_gamma = (eta_prime**2 / eta**3) * (m_r2 / stability) / m
     return MeanSinrResult(gamma_bar=gamma_bar, delta_gamma=delta_gamma, eta=eta,
-                          eta_prime=eta_prime, m_t2=m_t2, m_r2=m_r2)
+                          eta_prime=eta_prime, m_t2=m_t2, m_r2=m_r2, solution=sol)

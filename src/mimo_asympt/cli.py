@@ -25,7 +25,7 @@ import numpy as np
 
 from .asymptotics import NonConvergence, StabilityViolation
 from .covariance import iid_closed_forms
-from .gaussian import mmse_mi_gaussian, mmse_mi_mean, optimal_mi_gaussian, outage_probability
+from .gaussian import mmse_mi_gaussian, mmse_mi_mean, outage_probability
 from .montecarlo import (
     TrialBatchSpec,
     WorkerCountError,
@@ -45,14 +45,6 @@ _EXIT_NUMERIC = 3
 _EXIT_IO = 4
 
 
-def nats_to_bits(x: float) -> float:
-    return x / LN2
-
-
-def bits_to_nats(x: float) -> float:
-    return x * LN2
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
@@ -67,17 +59,14 @@ def _snr_grid(scenario: Scenario):
     return list(zip(scenario.snr_db, scenario.rho))
 
 
-def _models(scenario: Scenario, pair, snr_db: float, rho: float, variant: str,
-            optimal: bool = True):
-    """The MMSE (and optimal) Gaussian models at one grid point.
+def _model(scenario: Scenario, pair, snr_db: float, rho: float, variant: str):
+    """The MMSE Gaussian model at one grid point, the optimal one as its .optimal.
 
     A solver failure is re-raised as a _GridPointFailure naming the point.
     """
-    config = scenario.config(rho)
-    knobs = {"tol": scenario.tolerance, "max_iter": scenario.max_iter}
     try:
-        mmse = mmse_mi_gaussian(pair, config, variant=variant, **knobs)
-        return mmse, optimal_mi_gaussian(pair, config, **knobs) if optimal else None
+        return mmse_mi_gaussian(pair, scenario.config(rho), variant=variant,
+                                tol=scenario.tolerance, max_iter=scenario.max_iter)
     except (NonConvergence, StabilityViolation) as exc:
         raise _GridPointFailure(f"at snr_db={snr_db}: {exc}") from exc
 
@@ -88,8 +77,8 @@ def cmd_asymptotics(scenario: Scenario, out_dir: str, units: str) -> int:
     m = scenario.m
     rows = []
     for snr_db, rho in _snr_grid(scenario):
-        model, opt = _models(scenario, pair, snr_db, rho, "taylor")
-        ms, sig = model.mean_sinr, model.sigma
+        model = _model(scenario, pair, snr_db, rho, "taylor")
+        ms, sig, opt = model.mean_sinr, model.sigma, model.optimal
         c1_p, _, c11_p = mmse_mi_mean(ms, sig, "as-printed")
         off = sig.sigma[~np.eye(m, dtype=bool)]
         row = {
@@ -111,10 +100,7 @@ def cmd_asymptotics(scenario: Scenario, out_dir: str, units: str) -> int:
             "optimal": {"c1": opt.c1 * conv, "c2": opt.c2 * conv * conv},
         }
         if pair.is_identity:
-            cf = iid_closed_forms(scenario.config(rho))
-            row["g"] = cf.g
-            row["v_d"] = cf.v_d
-            row["v_od"] = cf.v_od
+            row.update(iid_closed_forms(scenario.config(rho))._asdict())
         rows.append(row)
     report = {
         "units": units,
@@ -165,7 +151,7 @@ def cmd_compare(scenario: Scenario, out_dir: str) -> int:
     snr_db, rho = _single_point(scenario)
     pair = scenario.build_pair()
     # the models first, so a solver failure exits before the simulation
-    mmse_model, opt_model = _models(scenario, pair, snr_db, rho, scenario.mean_variant)
+    mmse_model = _model(scenario, pair, snr_db, rho, scenario.mean_variant)
     summary = run_trials(_spec(scenario, pair, rho))
 
     lo = min(summary.mi_samples[0], summary.opt_samples[0])
@@ -173,17 +159,17 @@ def cmd_compare(scenario: Scenario, out_dir: str) -> int:
     rows = []
     for x in np.linspace(lo, hi, 200):
         rows.append((
-            nats_to_bits(x),
+            x / LN2,
             outage_probability(mmse_model, x),
             empirical_outage(summary, x, "mmse")[0],
-            outage_probability(opt_model, x),
+            outage_probability(mmse_model.optimal, x),
             empirical_outage(summary, x, "optimal")[0],
         ))
     path = os.path.join(out_dir, "compare.csv")
     _write_csv(path, ["mi_bpcu", "cdf_mmse_analytic", "cdf_mmse_empirical",
                       "cdf_opt_analytic", "cdf_opt_empirical"], rows)
     ks_m = ks_distance(summary, mmse_model)
-    ks_o = ks_distance(summary, opt_model)
+    ks_o = ks_distance(summary, mmse_model.optimal)
     print(f"wrote {path}")
     print(f"KS mmse: {ks_m:.6f}")
     print(f"KS optimal: {ks_o:.6f}")
@@ -193,13 +179,13 @@ def cmd_compare(scenario: Scenario, out_dir: str) -> int:
 def cmd_outage(scenario: Scenario, out_dir: str) -> int:
     if not scenario.rate_bpcu or len(scenario.rate_bpcu) != 1:
         raise ScenarioError("outage needs a scalar rate_bpcu")
-    rate_nats = bits_to_nats(scenario.rate_bpcu[0])
+    rate_nats = scenario.rate_bpcu[0] * LN2
     pair = scenario.build_pair()
     grid = _snr_grid(scenario)
     # one draw of the channels serves every grid point
     spec = _spec(scenario, pair, scenario.rho[0])
-    p_gauss = [outage_probability(_models(scenario, pair, snr_db, rho, scenario.mean_variant,
-                                          optimal=False)[0], rate_nats)
+    p_gauss = [outage_probability(_model(scenario, pair, snr_db, rho, scenario.mean_variant),
+                                  rate_nats)
                for snr_db, rho in grid]
     rows = []
     for (snr_db, _), p_g, summary in zip(grid, p_gauss, run_trials_grid(spec, scenario.rho)):

@@ -31,11 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .asymptotics import (
-    Deformation,
-    StabilityViolation,
-    solve_fixed_point,
-)
+from .asymptotics import Deformation, FixedPointSolution, StabilityViolation, solve_fixed_point
 
 __all__ = [
     "SinrCovariance",
@@ -69,26 +65,8 @@ class IidClosedForms(NamedTuple):
     v_od: float
 
 
-class _Lanes(NamedTuple):
-    """Deformed lanes J_k(x) at their fixed points, in T's eigenbasis (s = sqrt(rho) t)."""
-
-    index: np.ndarray
-    q: np.ndarray     # (K, M): 1 / (1 + s d)
-    e: np.ndarray     # Sherman-Morrison weight c / (1 + s c a1), c = x - 1
-    a_r: np.ndarray   # (K, N): lam / (1 + sqrt(rho) r lam), so M_r(a, b) = (rho/M) a_r.a_r
-
-
-def _solve_lanes(pair, config, index, x, tol: float, max_iter: int) -> _Lanes:
-    sol = solve_fixed_point(pair, config, Deformation(index, x), tol=tol, max_iter=max_iter)
-    sr, d, lam = np.sqrt(config.rho), pair.t_eigvals, pair.r_eigvals
-    q = 1.0 / (1.0 + sr * sol.t[:, None] * d)
-    a1 = np.sum(np.abs(pair.t_eigvecs[index]) ** 2 * (d * q), axis=1)
-    return _Lanes(index, q, (x - 1.0) / (1.0 + sr * sol.t * (x - 1.0) * a1),
-                  lam / (1.0 + sr * sol.r[:, None] * lam))
-
-
-def _kernel(lanes: _Lanes, a, b, pair, config) -> np.ndarray:
-    """F = -log(1 - M_t M_r) between every lane in a and every lane in b (index arrays).
+def _kernel(sol: FixedPointSolution, a, b, pair, config) -> np.ndarray:
+    """F = -log(1 - M_t M_r) between every lane in a and every lane in b of a stacked solve.
 
     phi = J_k T (I + s J_k T)^{-1} is T Q plus a rank-one term, Q = (I + s T)^{-1},
     so with w = |U_k|^2 and z = U_k (row k of the eigenvectors)
@@ -98,7 +76,7 @@ def _kernel(lanes: _Lanes, a, b, pair, config) -> np.ndarray:
     """
     d, vecs = pair.t_eigvals, pair.t_eigvecs
     (q_a, e_a, r_a, z_a), (q_b, e_b, r_b, z_b) = (
-        (lanes.q[i], lanes.e[i], lanes.a_r[i], vecs[lanes.index[i]]) for i in (a, b))
+        (sol.q[i], sol.e[i], sol.a_r[i], vecs[sol.deformation.index[i]]) for i in (a, b))
     tr = ((d * q_a) @ (d * q_b).T
           + e_b * (q_a @ (np.abs(z_b) ** 2 * (d * q_b) ** 2).T)
           + e_a[:, None] * ((np.abs(z_a) ** 2 * (d * q_a) ** 2) @ q_b.T)
@@ -117,9 +95,9 @@ def logdet_joint_cumulant(pair, config, k: int, l: int, x_k: float, x_l: float,
     x_k = x_l = 1 (no deformation) this is the asymptotic variance of the
     optimal-receiver mutual information.
     """
-    lanes = _solve_lanes(pair, config, np.array([k, l]), np.array([x_k, x_l], dtype=float),
-                         tol, max_iter)
-    return float(_kernel(lanes, [0], [1], pair, config)[0, 0])
+    sol = solve_fixed_point(pair, config, Deformation(np.array([k, l]), np.array([x_k, x_l])),
+                            tol=tol, max_iter=max_iter)
+    return float(_kernel(sol, [0], [1], pair, config)[0, 0])
 
 
 def sinr_covariance(pair, config, step: float = 1e-3, tol: float = 1e-12,
@@ -140,8 +118,9 @@ def sinr_covariance(pair, config, step: float = 1e-3, tol: float = 1e-12,
     steps = (step, step / 2.0)
     xs = np.repeat([x for h in steps for x in (h, -h)], m)   # lanes: +h, -h, +h/2, -h/2
     try:
-        lanes = _solve_lanes(pair, config, np.tile(np.arange(m), 4), xs, tol, max_iter)
-        fs = [_kernel(lanes, nodes, nodes, pair, config)
+        sol = solve_fixed_point(pair, config, Deformation(np.tile(np.arange(m), 4), xs),
+                                tol=tol, max_iter=max_iter)
+        fs = [_kernel(sol, nodes, nodes, pair, config)
               for nodes in np.arange(4 * m).reshape(2, 2 * m)]
     except StabilityViolation as exc:
         raise StepTooLarge(f"stencil with step {step} left the stable region: {exc}") from exc
@@ -163,13 +142,14 @@ def sinr_covariance_exact(pair, config, tol: float = 1e-12,
     All M deflated streams are one stacked solve, and every step runs on the stack.
     """
     m, rho, sr = config.M, config.rho, np.sqrt(config.rho)
-    lanes = _solve_lanes(pair, config, np.arange(m), np.zeros(m), tol, max_iter)
+    sol = solve_fixed_point(pair, config, Deformation(np.arange(m), np.zeros(m)),
+                            tol=tol, max_iter=max_iter)
     # Sherman-Morrison in T = U diag(d) U^H, Q = (I + s T)^{-1}: u = B^{-1} e_k = -e Q e_k,
     # v = e_k^T T B^{-1} = -e e_k^T T Q and phi = T Q + e Q e_k e_k^T T Q = T Q + u v^T / e
-    d, vecs, a_r = pair.t_eigvals, pair.t_eigvecs, lanes.a_r
+    d, vecs, a_r = pair.t_eigvals, pair.t_eigvecs, sol.a_r
     vecs = vecs if vecs.imag.any() else vecs.real   # a real T: real arithmetic, 4x fewer flops
-    dq, e = d * lanes.q, lanes.e[:, None]
-    u = -e * ((lanes.q * vecs.conj()) @ vecs.T)
+    dq, e = d * sol.q, sol.e[:, None]
+    u = -e * ((sol.q * vecs.conj()) @ vecs.T)
     v = -e * ((vecs * dq) @ vecs.conj().T)
     phi = (vecs * dq[:, None, :]) @ vecs.conj().T + (u / e)[:, :, None] * v[:, None, :]
     phi2 = phi @ phi

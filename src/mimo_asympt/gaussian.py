@@ -3,6 +3,9 @@
 Assembles mean c1 and variance c2 of the per-stream mutual information sum
 (nats) from the asymptotic SINR statistics, for both the MMSE and the
 optimal receiver, and evaluates P(I <= R) under the Gaussian approximation.
+Both receivers' models read one undeformed fixed-point solution, the one
+the mean SINRs carry: the optimal receiver's mean is the log-det at it, and
+its variance -log(1 - m_t2 m_r2) uses the same m_t2 and m_r2 as delta_gamma.
 
 Two mean assemblies are provided. The "as-printed" form adds the raw
 correction sum(delta_gamma_k + Sigma_kk); the "taylor" form (default) is the
@@ -28,8 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .asymptotics import MeanSinrResult, StabilityViolation, mean_logdet_asymptotic, \
-    mean_sinr_asymptotic, solve_fixed_point
+from .asymptotics import MeanSinrResult, mean_logdet_asymptotic, mean_sinr_asymptotic
 from .covariance import SinrCovariance, iid_closed_forms, sinr_covariance_exact
 
 __all__ = [
@@ -50,7 +52,8 @@ class MutualInfoGaussian:
     leading term and c11 the O(1) correction. variant records which mean
     assembly produced c11 ("taylor" or "as-printed"; None for the optimal
     receiver, whose mean needs no expansion). mean_sinr and sigma are the
-    inputs an MMSE model was assembled from (None for the optimal receiver).
+    inputs an MMSE model was assembled from, and optimal is the optimal
+    receiver's model at the same point (all None for the optimal receiver).
     """
 
     c1: float
@@ -59,9 +62,10 @@ class MutualInfoGaussian:
     c11: float
     receiver: str
     variant: Optional[str] = None
-    # both hold arrays, so they stay out of == and repr
+    # these hold arrays or another model, so they stay out of == and repr
     mean_sinr: Optional[MeanSinrResult] = field(default=None, compare=False, repr=False)
     sigma: Optional[SinrCovariance] = field(default=None, compare=False, repr=False)
+    optimal: Optional["MutualInfoGaussian"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.c2 < 0:
@@ -105,8 +109,9 @@ def mmse_mi_gaussian(pair, config, variant: str = "taylor", step: float = 1e-3,
 
     The covariance is the identity-correlation closed forms for an identity
     pair and the exact implicit-differentiation matrix otherwise; the model
-    carries the mean SINRs and the covariance it was assembled from. step
-    has no effect: it is kept only for callers that still pass it.
+    carries the mean SINRs and the covariance it was assembled from, and the
+    optimal receiver's model read from the same mean SINRs. step has no
+    effect: it is kept only for callers that still pass it.
     """
     ms = mean_sinr_asymptotic(pair, config, tol=tol, max_iter=max_iter)
     if pair.is_identity:
@@ -115,30 +120,26 @@ def mmse_mi_gaussian(pair, config, variant: str = "taylor", step: float = 1e-3,
         sigma = sinr_covariance_exact(pair, config, tol=tol, max_iter=max_iter)
     c1, c10, c11 = mmse_mi_mean(ms, sigma, variant)
     return MutualInfoGaussian(c1=c1, c2=mmse_mi_variance(ms, sigma), c10=c10, c11=c11,
-                              receiver="mmse", variant=variant, mean_sinr=ms, sigma=sigma)
+                              receiver="mmse", variant=variant, mean_sinr=ms, sigma=sigma,
+                              optimal=_optimal_model(pair, config, ms))
+
+
+def _optimal_model(pair, config, ms: MeanSinrResult) -> MutualInfoGaussian:
+    c1 = mean_logdet_asymptotic(pair, config, ms.solution)
+    return MutualInfoGaussian(c1=c1, c2=float(-np.log1p(-ms.m_t2 * ms.m_r2)), c10=c1 / config.M,
+                              c11=0.0, receiver="optimal")
 
 
 def optimal_mi_gaussian(pair, config, tol: float = 1e-12,
                         max_iter: int = 10000) -> MutualInfoGaussian:
     """Gaussian parameters of the optimal receiver's log-det mutual information.
 
-    Mean from the undeformed asymptotic log-det, variance from the joint
-    cumulant kernel at the undeformed point, -log(1 - m_t2 m_r2).
+    Read from the undeformed mean-SINR solution: the mean is the asymptotic
+    log-det there, and the variance the joint cumulant kernel at the
+    undeformed point, -log(1 - m_t2 m_r2).
     """
-    m, rho = config.M, config.rho
-    sr = np.sqrt(rho)
-    sol = solve_fixed_point(pair, config, None, tol=tol, max_iter=max_iter)
-    c1 = mean_logdet_asymptotic(pair, config, sol)
-    d = pair.t_eigvals
-    lam = pair.r_eigvals
-    m_t = (rho / m) * float(np.sum((d / (1.0 + sr * sol.t * d)) ** 2))
-    m_r = (rho / m) * float(np.sum((lam / (1.0 + sr * sol.r * lam)) ** 2))
-    arg = m_t * m_r
-    if arg >= 1.0:
-        raise StabilityViolation(f"1 - M_t*M_r = {1.0 - arg:.3e} <= 0")
-    c2 = float(-np.log1p(-arg))
-    return MutualInfoGaussian(c1=c1, c2=c2, c10=c1 / m, c11=0.0,
-                              receiver="optimal", variant=None)
+    return _optimal_model(pair, config, mean_sinr_asymptotic(pair, config, tol=tol,
+                                                              max_iter=max_iter))
 
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)

@@ -6,8 +6,15 @@ complex Hermitian T, a rank-deficient T and M = 1. The exact covariance is
 checked against the finite-difference stencil, and every lane of a stacked
 Newton solve against a dense evaluation of both equations that shares no
 code with it, as is the point where a negative deformation makes the solver
-refuse.
+refuse. The mean SINRs and the optimal receiver's model are checked against
+the dense Kronecker statistics of perfbench/checks.py, which imports nothing
+from the package, and the exact receiver algebra against the ordering of its
+two mutual informations on drawn channel stacks.
 """
+
+import pathlib
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -20,10 +27,20 @@ from mimo_asympt import (
     StabilityViolation,
     SystemConfig,
     build_exponential_correlation,
+    gram,
+    mmse_mi_gaussian,
+    optimal_mi_gaussian,
+    receiver_values,
     sinr_covariance,
     sinr_covariance_exact,
     solve_fixed_point,
 )
+from mimo_asympt.covariance import logdet_joint_cumulant
+
+# the benchmark's output checks, executed from source so nothing is written next to them
+_CHECKS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+checks = types.ModuleType("checks")
+exec(compile(_CHECKS_PY.read_text(), str(_CHECKS_PY), "exec"), checks.__dict__)
 
 KINDS = ["exponential", "real-psd", "complex-t", "rank-deficient-t", "single-stream"]
 TOL = 1e-12
@@ -40,8 +57,8 @@ def _psd(rng, size, rank=None, complex_=False):
 
 
 @st.composite
-def systems(draw):
-    kind = draw(st.sampled_from(KINDS))
+def systems(draw, kinds=KINDS):
+    kind = draw(st.sampled_from(kinds))
     m = 1 if kind == "single-stream" else draw(st.integers(2, 6))
     n = draw(st.integers(m, 2 * m + 2))
     snr_db = draw(st.floats(-5.0, 10.0))
@@ -110,3 +127,35 @@ def test_newton_fixed_point_satisfies_both_equations(system):
         crossed = edge_t <= 0.0 or edge_r <= 0.0
         with pytest.raises(StabilityViolation if crossed else NonConvergence):
             solve_fixed_point(pair, cfg, Deformation(0, x0), tol=TOL, max_iter=1)
+
+
+@given(systems())
+def test_mean_sinr_and_optimal_model_match_dense_oracle(system):
+    pair, cfg = system
+    with warnings.catch_warnings():
+        # kronecker_stats takes float() of traces that are complex for a complex T
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        ref = checks.kronecker_stats(np.asarray(pair.R), np.asarray(pair.T), cfg.rho)
+    model = mmse_mi_gaussian(pair, cfg)
+    opt = optimal_mi_gaussian(pair, cfg)
+    np.testing.assert_allclose(model.mean_sinr.gamma_bar, ref["gamma_bar"].real, rtol=1e-8)
+    assert opt.c1 == pytest.approx(ref["opt_c1"], rel=1e-8)
+    assert opt.c2 == pytest.approx(ref["opt_c2"], rel=1e-8)
+    # the MMSE model carries the optimal model of the same point
+    assert model.optimal == opt
+    for k in range(cfg.M):
+        assert opt.c2 == pytest.approx(logdet_joint_cumulant(pair, cfg, k, k, 1.0, 1.0),
+                                       rel=1e-12)
+
+
+@given(systems(kinds=["exponential", "complex-t", "single-stream"]), st.floats(0.0, 30.0),
+       st.integers(0, 2**32 - 1))
+def test_mmse_mi_never_exceeds_logdet_mi(system, snr_db, seed):
+    # sum_k log(1 + gamma_k) <= log det(I + (rho/M) H^H H), trial by trial
+    pair, cfg = system
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal((64, cfg.N, cfg.M))
+         + 1j * rng.standard_normal((64, cfg.N, cfg.M))) * np.sqrt(0.5)
+    h = pair.r_sqrt @ g @ pair.t_sqrt.T
+    _, mi, opt = receiver_values(gram(h), 10.0 ** (snr_db / 10.0))
+    assert np.all(mi <= opt + 1e-12 * np.abs(opt))

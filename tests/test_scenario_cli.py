@@ -14,8 +14,8 @@ from mimo_asympt import (
     load_scenario,
     save_correlation_json,
 )
-from mimo_asympt import cli
-from mimo_asympt.cli import bits_to_nats, main, nats_to_bits
+from mimo_asympt import asymptotics, cli
+from mimo_asympt.cli import main
 
 LN2 = math.log(2.0)
 
@@ -234,9 +234,9 @@ def test_exit_code_4_on_unwritable_output(tmp_path):
 def test_unit_conversion_roundtrip_at_emitted_precision():
     values = [0.3, 1.0, 2.0794415416798357, 6.52, 35.046, 123.456789, 1e-6]
     for x in values:
-        rt = bits_to_nats(nats_to_bits(x))
+        rt = (x / cli.LN2) * cli.LN2
         assert f"{rt:.12g}" == f"{x:.12g}"
-        rt2 = nats_to_bits(bits_to_nats(x))
+        rt2 = (x * cli.LN2) / cli.LN2
         assert f"{rt2:.12g}" == f"{x:.12g}"
 
 
@@ -395,6 +395,34 @@ def test_compare_fails_before_the_simulation(tmp_path, monkeypatch, capsys):
     path = _write_scenario(tmp_path, M=4, N=8, snr_db=40.0, max_iter=3)
     assert main(["compare", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "snr_db=40.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,correlation,snr_db", [
+    ("asymptotics", {"type": "exponential", "zeta_r": 0.5, "zeta_t": 0.3}, [0.0, 6.0, 12.0]),
+    ("asymptotics", {"type": "identity"}, [0.0, 6.0]),
+    ("compare", {"type": "exponential", "zeta_r": 0.5, "zeta_t": 0.3}, 6.0),
+    ("compare", {"type": "identity"}, 6.0),
+])
+def test_one_undeformed_solve_per_grid_point(tmp_path, monkeypatch, verb, correlation, snr_db):
+    # both receivers' models read the one undeformed solve, and a correlated
+    # point adds the covariance's one stacked solve over its M deflated streams
+    solve = asymptotics.solve_fixed_point
+    calls = []
+
+    def counting(pair, config, deformation=None, **kwargs):
+        calls.append(deformation)
+        return solve(pair, config, deformation, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("mimo_asympt") and getattr(mod, "solve_fixed_point", None) is solve:
+            monkeypatch.setattr(mod, "solve_fixed_point", counting)
+    path = _write_scenario(tmp_path, snr_db=snr_db, correlation=correlation, trials=64)
+    assert main([verb, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    points = len(np.atleast_1d(snr_db))
+    stacked = [d for d in calls if d is not None]
+    assert len(calls) - len(stacked) == points
+    assert len(stacked) == (0 if correlation["type"] == "identity" else points)
+    assert all(np.array_equal(d.index, np.arange(3)) and not d.x.any() for d in stacked)
 
 
 def test_cli_import_pulls_in_no_scipy():

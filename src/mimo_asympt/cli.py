@@ -10,9 +10,11 @@ Four verbs, each reading a scenario JSON and writing data files into --out:
 Exit codes: 0 success, 2 scenario/config error (including a bad correlation
 file or an SNR outside float range), 3 numerical failure
 (non-convergence or stability violation, message names the grid point),
-4 output I/O error. Internal computations are in nats; --units picks the
-display unit for asymptotics.json (compare.csv is always bpcu, samples.csv
-always nats, as the column names state).
+4 output I/O error, 5 resource error (the Monte Carlo run ran out of
+memory; the message names the trials completed). Internal computations
+are in nats; --units picks the display unit for asymptotics.json
+(compare.csv is always bpcu, samples.csv always nats, as the column names
+state).
 """
 
 import argparse
@@ -27,6 +29,7 @@ from .asymptotics import NonConvergence, StabilityViolation
 from .covariance import iid_closed_forms
 from .gaussian import mmse_mi_gaussian, mmse_mi_mean, outage_probability
 from .montecarlo import (
+    MonteCarloError,
     TrialBatchSpec,
     WorkerCountError,
     empirical_outage,
@@ -43,6 +46,7 @@ LN2 = math.log(2.0)
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 _EXIT_IO = 4
+_EXIT_RESOURCE = 5
 
 
 def _write_csv(path, header, rows):
@@ -245,6 +249,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return _EXIT_IO
+    except MonteCarloError as exc:
+        print(f"resource error: {exc}", file=sys.stderr)
+        return _EXIT_RESOURCE
 
 
 if __name__ == "__main__":

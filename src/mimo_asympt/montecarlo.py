@@ -9,12 +9,11 @@ per-batch partial sums are combined exactly (math.fsum, in batch order), and
 every other reduction is a deterministic function of arrays assembled in
 trial order, so the resulting summary is bit-identical for any worker count.
 
-Sample retention: the full sorted mutual-information vectors are kept up to
-`retention_cap` trials (default 1e7). Beyond that only scalar batch sums are
-held, and one second pass over the regenerated batches fills a fixed
-histogram per receiver and SNR, from which a 4096-point quantile sketch is
-taken; outage and KS evaluations then read the sketch (resolution ~1/4096 on
-probabilities).
+Sample retention: every run keeps the full sorted mutual-information vector
+of each receiver at each SNR, so outage and KS evaluations resolve
+probabilities to 1/n_trials. The samples take 16 bytes per trial per SNR
+point; a run holds them twice (in trial order and sorted) until it returns,
+and summarizing a point concatenates 16 bytes per trial more.
 """
 
 import json
@@ -45,8 +44,6 @@ __all__ = [
 
 _BATCH = 4096
 _CHUNK = 512
-_SKETCH_POINTS = 4096
-_SKETCH_BINS = 1 << 20
 _Z95 = 1.959963984540054
 
 
@@ -82,8 +79,8 @@ class TrialBatchSpec:
 class EmpiricalSummary:
     """Sample statistics of one Monte Carlo batch.
 
-    mi_samples / opt_samples are sorted ascending (full samples, or the
-    quantile sketch when is_sketch is set). SINR moments are per-stream:
+    mi_samples / opt_samples hold every trial's value, sorted ascending, so
+    len(mi_samples) == n_trials. SINR moments are per-stream:
     mean vector, covariance matrix (unbiased), and skewness vector.
     mi_var_se is a jackknife-over-blocks standard error of mi_var (None
     when unavailable).
@@ -102,7 +99,6 @@ class EmpiricalSummary:
     n_trials: int
     master_seed: int
     mi_var_se: Optional[float] = None
-    is_sketch: bool = False
 
 
 def _worker_count(requested=None) -> int:
@@ -134,23 +130,16 @@ def _batch_values(spec: TrialBatchSpec, rhos, lo: int, hi: int):
     return [tuple(np.concatenate(x) for x in zip(*part)) for part in parts]
 
 
-def _batch_stats(spec: TrialBatchSpec, rhos, lo: int, hi: int, keep_arrays: bool):
-    out = []
-    for gam, mi, opt in _batch_values(spec, rhos, lo, hi):
-        stats = {
-            "g1": gam.sum(axis=0),
-            "g2": gam.T @ gam,
-            "g3": (gam**3).sum(axis=0),
-            "mi_s": np.array([mi.sum(), (mi**2).sum(), (mi**3).sum()]),
-            "opt_s": np.array([opt.sum(), (opt**2).sum()]),
-            "mi_minmax": (float(mi.min()), float(mi.max())),
-            "opt_minmax": (float(opt.min()), float(opt.max())),
-        }
-        if keep_arrays:
-            stats["mi"] = mi
-            stats["opt"] = opt
-        out.append(stats)
-    return out
+def _batch_stats(spec: TrialBatchSpec, rhos, lo: int, hi: int):
+    return [{
+        "g1": gam.sum(axis=0),
+        "g2": gam.T @ gam,
+        "g3": (gam**3).sum(axis=0),
+        "mi_s": np.array([mi.sum(), (mi**2).sum(), (mi**3).sum()]),
+        "opt_s": np.array([opt.sum(), (opt**2).sum()]),
+        "mi": mi,
+        "opt": opt,
+    } for gam, mi, opt in _batch_values(spec, rhos, lo, hi)]
 
 
 def _fsum_axis(parts):
@@ -176,41 +165,8 @@ def _jackknife_var_se(x: np.ndarray, blocks: int = 64):
     return float(np.sqrt((blocks - 1) / blocks * np.sum((rest_var - mean_est) ** 2)))
 
 
-def _quantile_sketches(spec, rhos, lo_hi, ranges, n_workers: int):
-    """Second pass: histogram the regenerated samples, return quantile values.
-
-    ranges holds one (lo, hi) value range per histogram, in the order
-    (mi, opt) per SNR; every histogram is filled from the same draw of each
-    batch.
-    """
-    spans = [max(hi - lo, 1e-300) for lo, hi in ranges]
-    counts = [np.zeros(_SKETCH_BINS, dtype=np.int64) for _ in ranges]
-
-    def one(idx):
-        return [v for _, mi, opt in _batch_values(spec, rhos, *lo_hi[idx]) for v in (mi, opt)]
-
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        for values in pool.map(one, range(len(lo_hi))):
-            for c, v, (lo, _), span in zip(counts, values, ranges, spans):
-                bins = np.minimum(((v - lo) / span * _SKETCH_BINS).astype(np.int64),
-                                  _SKETCH_BINS - 1)
-                c += np.bincount(bins, minlength=_SKETCH_BINS)
-    targets = (np.arange(_SKETCH_POINTS) + 0.5) / _SKETCH_POINTS
-    out = []
-    for c, (lo, _), span in zip(counts, ranges, spans):
-        cum = np.cumsum(c)
-        idx = np.minimum(np.searchsorted(cum, targets * cum[-1], side="left"),
-                         _SKETCH_BINS - 1)
-        centers = lo + (np.arange(_SKETCH_BINS) + 0.5) / _SKETCH_BINS * span
-        out.append(np.sort(centers[idx]))
-    return out
-
-
-def _summarize(ordered, n: int, m: int, master_seed: int, sketch=None) -> EmpiricalSummary:
-    """Reduce one SNR point's per-batch stats, in batch order, to its summary.
-
-    sketch is the (mi, opt) quantile pair when the samples were not kept.
-    """
+def _summarize(ordered, n: int, m: int, master_seed: int) -> EmpiricalSummary:
+    """Reduce one SNR point's per-batch stats, in batch order, to its summary."""
     g1 = _fsum_axis([b["g1"] for b in ordered])
     g2 = _fsum_axis([b["g2"] for b in ordered])
     g3 = _fsum_axis([b["g3"] for b in ordered])
@@ -233,27 +189,19 @@ def _summarize(ordered, n: int, m: int, master_seed: int, sketch=None) -> Empiri
     mi_m3 = mi_s3 / n - 3 * mi_mean * mi_s2 / n + 2 * mi_mean**3
     mi_skew = float(mi_m3 / mi_m2**1.5) if mi_m2 > 0 else 0.0
 
-    if sketch is None:
-        mi_in_order = np.concatenate([b["mi"] for b in ordered])
-        mi_samples = np.sort(mi_in_order)
-        opt_samples = np.sort(np.concatenate([b["opt"] for b in ordered]))
-        var_se = _jackknife_var_se(mi_in_order)
-    else:
-        mi_samples, opt_samples = sketch
-        var_se = None
-
+    mi_in_order = np.concatenate([b["mi"] for b in ordered])
     return EmpiricalSummary(
-        mi_samples=mi_samples, opt_samples=opt_samples,
+        mi_samples=np.sort(mi_in_order),
+        opt_samples=np.sort(np.concatenate([b["opt"] for b in ordered])),
         sinr_mean=sinr_mean, sinr_cov=sinr_cov, sinr_skew=sinr_skew,
         mi_mean=float(mi_mean), mi_var=float(mi_var), mi_skewness=mi_skew,
         opt_mean=float(opt_mean), opt_var=float(opt_var),
         n_trials=n, master_seed=master_seed,
-        mi_var_se=var_se, is_sketch=sketch is not None,
+        mi_var_se=_jackknife_var_se(mi_in_order),
     )
 
 
-def run_trials_grid(spec: TrialBatchSpec, rhos, n_workers=None,
-                    retention_cap: int = 10_000_000):
+def run_trials_grid(spec: TrialBatchSpec, rhos, n_workers=None):
     """Run the trials once and evaluate them at every SNR in rhos (linear).
 
     Returns one EmpiricalSummary per entry of rhos, in order; spec.config.rho
@@ -263,6 +211,8 @@ def run_trials_grid(spec: TrialBatchSpec, rhos, n_workers=None,
     trials, per-trial randomness depends only on (master_seed, trial index),
     and all reductions run in fixed batch order. n_workers defaults to the
     MIMO_ASYMPT_THREADS environment variable (0 or unset = all cores).
+    Running out of memory, while drawing or while summarizing, raises
+    MonteCarloError.
     """
     # replace() re-runs SystemConfig's checks on every SNR
     rhos = [replace(spec.config, rho=float(r)).rho for r in rhos]
@@ -270,40 +220,25 @@ def run_trials_grid(spec: TrialBatchSpec, rhos, n_workers=None,
         raise ValueError("need at least one SNR point")
     n = spec.n_trials
     workers = _worker_count(n_workers)
-    keep = n <= retention_cap
     _ = spec.pair.is_identity  # cache it before the pool so threads share it
 
     lo_hi = [(lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
-    results = {}
-
-    def one(idx):
-        lo, hi = lo_hi[idx]
-        return idx, _batch_stats(spec, rhos, lo, hi, keep)
-
+    batches = []
     completed = 0
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, stats in pool.map(one, range(len(lo_hi))):
-                results[idx] = stats
-                completed += lo_hi[idx][1] - lo_hi[idx][0]
+            for stats in pool.map(lambda b: _batch_stats(spec, rhos, *b), lo_hi):
+                batches.append(stats)
+                completed += len(stats[0]["mi"])
+        return [_summarize(ordered, n, spec.config.M, spec.master_seed)
+                for ordered in zip(*batches)]
     except MemoryError as exc:
         raise MonteCarloError("out of memory during trial execution", completed) from exc
 
-    per_point = [[results[i][k] for i in range(len(lo_hi))] for k in range(len(rhos))]
-    sketches = [None] * len(rhos)
-    if not keep:
-        ranges = [(min(b[key][0] for b in ordered), max(b[key][1] for b in ordered))
-                  for ordered in per_point for key in ("mi_minmax", "opt_minmax")]
-        flat = _quantile_sketches(spec, rhos, lo_hi, ranges, workers)
-        sketches = list(zip(flat[0::2], flat[1::2]))
-    return [_summarize(ordered, n, spec.config.M, spec.master_seed, sketch)
-            for ordered, sketch in zip(per_point, sketches)]
 
-
-def run_trials(spec: TrialBatchSpec, n_workers=None,
-               retention_cap: int = 10_000_000) -> EmpiricalSummary:
+def run_trials(spec: TrialBatchSpec, n_workers=None) -> EmpiricalSummary:
     """Run the trials at spec.config.rho and aggregate: the one-point run_trials_grid."""
-    return run_trials_grid(spec, [spec.config.rho], n_workers, retention_cap)[0]
+    return run_trials_grid(spec, [spec.config.rho], n_workers)[0]
 
 
 def _samples_for(summary: EmpiricalSummary, receiver: str) -> np.ndarray:
@@ -318,19 +253,17 @@ def empirical_outage(summary: EmpiricalSummary, rate_nats: float,
                      receiver: str = "mmse"):
     """Fraction of samples <= rate, with its Wilson 95% half-width.
 
-    Returns (probability, halfwidth). On a sketch summary the fraction is
-    read off the quantile grid (resolution 1/4096).
+    Returns (probability, halfwidth).
     """
-    samples = _samples_for(summary, receiver)
     n = summary.n_trials
-    p = np.searchsorted(samples, rate_nats, side="right") / len(samples)
+    p = np.searchsorted(_samples_for(summary, receiver), rate_nats, side="right") / n
     z2 = _Z95 * _Z95
     halfwidth = _Z95 / (1.0 + z2 / n) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
     return float(p), float(halfwidth)
 
 
 def ks_distance(summary: EmpiricalSummary, model: MutualInfoGaussian) -> float:
-    """sup_x |ECDF(x) - Phi((x - c1)/sqrt(c2))| over the retained sample points.
+    """sup_x |ECDF(x) - Phi((x - c1)/sqrt(c2))| over the sample points.
 
     The receiver whose samples are compared is taken from the model.
     """
@@ -358,7 +291,6 @@ def summary_to_json(summary: EmpiricalSummary, config: SystemConfig = None) -> s
         "sinr_mean": summary.sinr_mean.tolist(),
         "sinr_cov": summary.sinr_cov.tolist(),
         "sinr_skew": summary.sinr_skew.tolist(),
-        "is_sketch": summary.is_sketch,
     }
     if config is not None:
         doc["config"] = {"M": config.M, "N": config.N, "rho": config.rho}

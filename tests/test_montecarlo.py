@@ -14,7 +14,6 @@ from mimo_asympt import (
     build_exponential_correlation,
     empirical_outage,
     ks_distance,
-    mmse_mi_gaussian,
     mutual_info_mmse,
     mutual_info_optimal,
     run_trials,
@@ -132,24 +131,6 @@ def test_summary_json_and_csv(tmp_path):
     np.testing.assert_allclose(got, s.mi_samples, rtol=1e-11)
 
 
-def test_sketch_path():
-    spec = _spec(trials=5000)
-    full = run_trials(spec)
-    sketch = run_trials(spec, retention_cap=1000)
-    assert sketch.is_sketch and not full.is_sketch
-    assert len(sketch.mi_samples) == 4096
-    # moments identical (computed from exact batch sums either way)
-    assert sketch.mi_mean == full.mi_mean
-    assert sketch.mi_var == full.mi_var
-    # outage readings agree to sketch resolution
-    r = float(np.median(full.mi_samples))
-    p_full, _ = empirical_outage(full, r, "mmse")
-    p_sketch, _ = empirical_outage(sketch, r, "mmse")
-    assert abs(p_full - p_sketch) <= 0.02
-    model = mmse_mi_gaussian(spec.pair, spec.config)
-    assert abs(ks_distance(full, model) - ks_distance(sketch, model)) <= 0.02
-
-
 def test_resource_exhaustion_structured_error(monkeypatch):
     spec = _spec(trials=100)
 
@@ -160,6 +141,19 @@ def test_resource_exhaustion_structured_error(monkeypatch):
     with pytest.raises(MonteCarloError) as exc:
         run_trials(spec)
     assert exc.value.completed_trials == 0
+
+
+def test_memory_error_while_summarizing_is_structured(monkeypatch):
+    # the concatenate and sort of every sample run after the last batch
+    spec = _spec(trials=5000)
+
+    def boom(*args, **kwargs):
+        raise MemoryError("synthetic")
+
+    monkeypatch.setattr(mc, "_summarize", boom)
+    with pytest.raises(MonteCarloError) as exc:
+        run_trials(spec, n_workers=2)
+    assert exc.value.completed_trials == 5000
 
 
 def test_spec_validation():
@@ -214,7 +208,7 @@ def test_grid_run_rejects_bad_snr():
         run_trials_grid(_spec(trials=10), [1.0, 0.0])
 
 
-def test_sketch_path_draws_each_trial_twice(monkeypatch):
+def test_every_trial_is_drawn_once(monkeypatch):
     drawn = np.zeros(10_000, dtype=int)
     real_draw = mc._draw_channels
 
@@ -223,7 +217,7 @@ def test_sketch_path_draws_each_trial_twice(monkeypatch):
         return real_draw(pair, master_seed, lo, hi)
 
     monkeypatch.setattr(mc, "_draw_channels", counting_draw)
-    grid = run_trials_grid(_spec(trials=10_000), [1.0, 4.0], n_workers=2, retention_cap=1000)
-    assert all(s.is_sketch for s in grid)
-    # one main pass and one sketch pass for both receivers and both SNRs
-    assert np.all(drawn == 2)
+    grid = run_trials_grid(_spec(trials=10_000), [1.0, 4.0], n_workers=2)
+    # one pass serves both SNRs, and each keeps every trial's sample
+    assert np.all(drawn == 1)
+    assert all(len(s.mi_samples) == len(s.opt_samples) == 10_000 for s in grid)

@@ -9,7 +9,8 @@ code with it, as is the point where a negative deformation makes the solver
 refuse. The mean SINRs and the optimal receiver's model are checked against
 the dense Kronecker statistics of perfbench/checks.py, which imports nothing
 from the package, and the exact receiver algebra against the ordering of its
-two mutual informations on drawn channel stacks.
+two mutual informations on drawn channel stacks, and a shared-draw Monte
+Carlo grid against the order of its sorted samples across SNRs.
 """
 
 import pathlib
@@ -26,11 +27,13 @@ from mimo_asympt import (
     NonConvergence,
     StabilityViolation,
     SystemConfig,
+    TrialBatchSpec,
     build_exponential_correlation,
     gram,
     mmse_mi_gaussian,
     optimal_mi_gaussian,
     receiver_values,
+    run_trials_grid,
     sinr_covariance,
     sinr_covariance_exact,
     solve_fixed_point,
@@ -159,3 +162,18 @@ def test_mmse_mi_never_exceeds_logdet_mi(system, snr_db, seed):
     h = pair.r_sqrt @ g @ pair.t_sqrt.T
     _, mi, opt = receiver_values(gram(h), 10.0 ** (snr_db / 10.0))
     assert np.all(mi <= opt + 1e-12 * np.abs(opt))
+
+
+@given(systems(), st.lists(st.integers(-10, 60), min_size=3, max_size=5, unique=True),
+       st.integers(256, 1024), st.integers(0, 2**64 - 1))
+def test_shared_draw_samples_never_fall_with_snr(system, half_db, trials, seed):
+    # every grid point sees the same channels, and each trial's MMSE and
+    # log-det mutual informations grow with rho, so every order statistic
+    # does too and the empirical outage never rises, at any rate
+    pair, cfg = system
+    rhos = [10.0 ** (k / 20.0) for k in sorted(half_db)]
+    spec = TrialBatchSpec(config=cfg, pair=pair, n_trials=trials, master_seed=seed)
+    grid = run_trials_grid(spec, rhos, n_workers=1)
+    for lower, higher in zip(grid, grid[1:]):
+        assert np.all(higher.mi_samples >= lower.mi_samples)
+        assert np.all(higher.opt_samples >= lower.opt_samples)

@@ -14,7 +14,8 @@ from mimo_asympt import (
     load_scenario,
     save_correlation_json,
 )
-from mimo_asympt import asymptotics, cli
+import mimo_asympt.montecarlo as mc
+from mimo_asympt import asymptotics, cli, scenario
 from mimo_asympt.cli import main
 
 LN2 = math.log(2.0)
@@ -262,18 +263,57 @@ def test_bad_thread_count_exit_code(tmp_path, monkeypatch, value):
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
-def test_cmd_compare_empirical_columns_on_sketch(tmp_path, monkeypatch):
-    # a sketch summary keeps 4096 quantiles of far more trials; the
-    # empirical CDF columns must still climb to 1
+def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise MemoryError("synthetic")
+
+    monkeypatch.setattr(mc, "_batch_stats", boom)
+    path = _write_scenario(tmp_path, trials=10)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: ") and "completed 0 trials" in err
+
+
+# one value outside its rule for every scenario key and correlation sub-key
+_BAD_VALUES = {
+    "M": 0, "N": 2.0, "snr_db": [], "rate_bpcu": "3", "correlation": {"type": "toeplitz"},
+    "trials": 0, "seed": -1, "mean_variant": "x", "fd_step": 0, "tolerance": 1e-2,
+    "max_iter": True,
+}
+_BAD_CORRELATION_VALUES = {"zeta_r": 1.0, "zeta_t": -0.1, "r_path": 3, "t_path": None}
+_GOOD_CORRELATIONS = {
+    "exponential": {"type": "exponential", "zeta_r": 0.5, "zeta_t": 0.3},
+    "file": {"type": "file", "r_path": "r.json", "t_path": "t.json"},
+}
+
+
+def test_every_scenario_key_rejects_a_bad_value(tmp_path):
+    # a key added to the table needs a bad value here too
+    assert set(_BAD_VALUES) == set(scenario._KEYS)
+    sub_keys = {key: kind for kind, rules in scenario._CORRELATIONS.items() for key in rules}
+    assert set(_BAD_CORRELATION_VALUES) == set(sub_keys)
+    cases = [(key, {key: value}) for key, value in _BAD_VALUES.items()]
+    cases += [(key, {"correlation": {**_GOOD_CORRELATIONS[sub_keys[key]], key: value}})
+              for key, value in _BAD_CORRELATION_VALUES.items()]
+    for key, overrides in cases:
+        path = _write_scenario(tmp_path, **overrides)
+        with pytest.raises(ScenarioError, match=f"key '{key}'"):
+            load_scenario(path)
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_cmd_compare_empirical_columns_on_full_summary(tmp_path, monkeypatch):
+    # a summary holds one sample per trial; the empirical CDF columns
+    # must climb to 1
     rng = np.random.default_rng(0)
     x = np.sort(rng.normal(2.5, 0.3, 4096))
-    sketch = EmpiricalSummary(
+    summary = EmpiricalSummary(
         mi_samples=x, opt_samples=x + 0.1, sinr_mean=np.zeros(3),
         sinr_cov=np.zeros((3, 3)), sinr_skew=np.zeros(3),
         mi_mean=2.5, mi_var=0.09, mi_skewness=0.0, opt_mean=2.6, opt_var=0.09,
-        n_trials=20_000_000, master_seed=2026, is_sketch=True,
+        n_trials=len(x), master_seed=2026,
     )
-    monkeypatch.setattr(cli, "run_trials", lambda spec: sketch)
+    monkeypatch.setattr(cli, "run_trials", lambda spec: summary)
     out = tmp_path / "out"
     assert main(["compare", "--scenario", str(_write_scenario(tmp_path)), "--out", str(out)]) == 0
     lines = (out / "compare.csv").read_text().splitlines()

@@ -1,29 +1,23 @@
 """SINR covariance from the joint log-det cumulant.
 
-The second joint cumulant of two deformed log-dets is
+The second joint cumulant of two deformed log-dets is F = -log[1 - M_t M_r],
 
-    F(x_k, x_l) = -log[1 - M_t(k, l) M_r(k, l)]
-
-with
-
-    M_t = (rho/M) Tr[ J_k T (I + t_k J_k T sqrt(rho))^{-1}
-                      J_l T (I + t_l J_l T sqrt(rho))^{-1} ]
-    M_r = (rho/M) Tr[ R (I + r_k sqrt(rho) R)^{-1} R (I + r_l sqrt(rho) R)^{-1} ]
+    M_t(k, l) = (rho/M) Tr[phi_k phi_l],   phi_k = J_k T (I + t_k J_k T sqrt(rho))^{-1}
+    M_r(k, l) = (rho/M) Tr[ R (I + r_k sqrt(rho) R)^{-1} R (I + r_l sqrt(rho) R)^{-1} ]
 
 where (t_k, r_k) solve the fixed point for the deformation J_k(x_k), and
 likewise for l. The SINR covariance is the mixed second derivative of F at
-x_k = x_l = 0 (the deflated base point). The x-dependence flows both through
-the explicit J factors and implicitly through (t, r). Production uses
-sinr_covariance_exact: each x moves only its own stream's node, so implicit
-differentiation at the M deflated fixed points, one stacked solve, gives the
-derivative. The oracle, sinr_covariance, re-solves the fixed point at every
-node of a central four-point stencil with one Richardson level (step h and
-h/2), again in one stacked solve; it converges onto the exact matrix at order h^4.
+x_k = x_l = 0 (the deflated base point). In T's eigenbasis phi_k is a diagonal
+plus rank one, and phi_k^2 and its derivative a diagonal plus rank two, so one
+routine, _trace, gives each such trace for every stream pair from (M, M)
+products. Production uses sinr_covariance_exact, implicit differentiation at
+the M deflated fixed points of one stacked solve. The oracle, sinr_covariance,
+differences F over a central four-point stencil with one Richardson level
+(steps h and h/2), again one stacked solve, and converges onto it at order h^4.
 
-Evaluated this way at finite M, the matrix carries genuine O(1/M) corrections
-beyond the i.i.d. closed forms (which are the M -> infinity coefficients);
-Monte Carlo puts the finite-M values within about one percent of the true
-SINR covariance at M = 8, where the closed forms sit ~10% low.
+At finite M the matrix carries genuine O(1/M) corrections beyond the i.i.d. closed forms
+(the M -> infinity coefficients); Monte Carlo puts the finite-M values within about one
+percent of the true SINR covariance at M = 8, where the closed forms sit ~10% low.
 """
 
 from dataclasses import dataclass
@@ -50,10 +44,9 @@ class StepTooLarge(RuntimeError):
 
 @dataclass(frozen=True)
 class SinrCovariance:
-    """M x M symmetric SINR covariance, with the step and scheme that built it."""
+    """M x M symmetric SINR covariance, with the scheme that built it."""
 
     sigma: np.ndarray
-    step: float
     method: str = "central-4pt"
 
 
@@ -65,23 +58,40 @@ class IidClosedForms(NamedTuple):
     v_od: float
 
 
-def _kernel(sol: FixedPointSolution, a, b, pair, config) -> np.ndarray:
-    """F = -log(1 - M_t M_r) between every lane in a and every lane in b of a stacked solve.
+def _factors(sol: FixedPointSolution, pair, lanes=slice(None)):
+    """Each lane's phi = diag(dq) + e x y^T in T's eigenbasis, x = q conj(U_k), y = dq U_k.
 
-    phi = J_k T (I + s J_k T)^{-1} is T Q plus a rank-one term, Q = (I + s T)^{-1},
-    so with w = |U_k|^2 and z = U_k (row k of the eigenvectors)
-    Tr[phi_a phi_b] = dq_a.dq_b + e_b q_a.(w d^2 q^2)_b + e_a (w d^2 q^2)_a.q_b
-                      + e_a e_b |(z d q)_a.(conj(z) q)_b|^2,
-    and no M x M matrix is formed.
+    Returns dq, phi's weights C_phi on X = [x, dq x] and Y = [y, dq y], and the
+    products every trace needs: xy[u, v] = X_u Y_v entrywise, P[v, i, w, j] = Y_v[i] . X_w[j].
     """
-    d, vecs = pair.t_eigvals, pair.t_eigvecs
-    (q_a, e_a, r_a, z_a), (q_b, e_b, r_b, z_b) = (
-        (sol.q[i], sol.e[i], sol.a_r[i], vecs[sol.deformation.index[i]]) for i in (a, b))
-    tr = ((d * q_a) @ (d * q_b).T
-          + e_b * (q_a @ (np.abs(z_b) ** 2 * (d * q_b) ** 2).T)
-          + e_a[:, None] * ((np.abs(z_a) ** 2 * (d * q_a) ** 2) @ q_b.T)
-          + np.outer(e_a, e_b) * np.abs((z_a * d * q_a) @ (z_b.conj() * q_b).T) ** 2)
-    p = (config.rho / config.M) ** 2 * tr * (r_a @ r_b.T)
+    q, z = sol.q[lanes], pair.t_eigvecs[sol.deformation.index[lanes]]
+    z = z if z.imag.any() else z.real   # real rows: real arithmetic, 4x fewer flops
+    dq = pair.t_eigvals * q
+    x, y = q * z.conj(), dq * z
+    xs, ys = np.stack((x, dq * x)), np.stack((y, dq * y))
+    c_phi = sol.e[lanes, None, None] * np.array([[1.0, 0.0], [0.0, 0.0]])
+    return dq, c_phi, (xs[:, None] * ys, np.tensordot(ys, xs, axes=(2, 2)))
+
+
+def _trace(a, c_a, b, c_b, factors) -> np.ndarray:
+    """Tr[A_i B_j] for every pair of lanes, with A_i = diag(a_i) + X_i C_a[i] Y_i^T and B alike.
+
+    With L the low-rank parts, Tr[A B] = a.b + a.diag L_B + diag L_A . b + Tr[L_A L_B],
+    and Tr[L_A L_B] = sum C_a[i,u,v] P[v,i,w,j] C_b[j,w,z] P[z,j,u,i].
+    """
+    xy, p = factors
+    diag_a, diag_b = (np.einsum("kuv,uvkm->km", c, xy) for c in (c_a, c_b))
+    cp_a, cp_b = (np.einsum("iuv,viwj->uiwj", c, p) for c in (c_a, c_b))
+    low = (cp_a * cp_b.transpose(2, 3, 0, 1)).sum(axis=(0, 2))
+    return (a @ b.T + a @ diag_b.T + diag_a @ b.T + low).real
+
+
+def _kernel(sol: FixedPointSolution, a, b, pair, config) -> np.ndarray:
+    """F = -log(1 - M_t M_r) between every lane in a and every lane in b of a stacked solve."""
+    lanes, at = np.unique(np.concatenate((a, b)), return_inverse=True)
+    dq, c_phi, factors = _factors(sol, pair, lanes)
+    p = _trace(dq, c_phi, dq, c_phi, factors) * (sol.a_r[lanes] @ sol.a_r[lanes].T)
+    p = (config.rho / config.M) ** 2 * p[np.ix_(at[:len(a)], at[len(a):])]
     if p.max() >= 1.0:
         raise StabilityViolation(f"1 - M_t*M_r = {1.0 - p.max():.3e} <= 0")
     return -np.log1p(-p)
@@ -127,7 +137,7 @@ def sinr_covariance(pair, config, step: float = 1e-3, tol: float = 1e-12,
     coarse, fine = ((f[:m, :m] - f[:m, m:] - f[m:, :m] + f[m:, m:]) / (4.0 * h * h)
                     for f, h in zip(fs, steps))
     sigma = (4.0 * fine - coarse) / 3.0
-    return SinrCovariance(sigma=0.5 * (sigma + sigma.T), step=step)
+    return SinrCovariance(sigma=0.5 * (sigma + sigma.T))
 
 
 def sinr_covariance_exact(pair, config, tol: float = 1e-12,
@@ -139,41 +149,32 @@ def sinr_covariance_exact(pair, config, tol: float = 1e-12,
     g_x = (sqrt(rho)/M) Tr[B^{-1} E_k T B^{-1}], g_t = -(rho/M) Tr phi_k^2 and
     dphi_k = B^{-1} E_k T B^{-1} - sqrt(rho) dt_k phi_k^2. Then, with p = M_t M_r,
     Sigma_kl = d_k p d_l p / (1-p)^2 + d_k d_l p / (1-p); StabilityViolation if p >= 1.
-    All M deflated streams are one stacked solve, and every step runs on the stack.
     """
     m, rho, sr = config.M, config.rho, np.sqrt(config.rho)
     sol = solve_fixed_point(pair, config, Deformation(np.arange(m), np.zeros(m)),
                             tol=tol, max_iter=max_iter)
-    # Sherman-Morrison in T = U diag(d) U^H, Q = (I + s T)^{-1}: u = B^{-1} e_k = -e Q e_k,
-    # v = e_k^T T B^{-1} = -e e_k^T T Q and phi = T Q + e Q e_k e_k^T T Q = T Q + u v^T / e
-    d, vecs, a_r = pair.t_eigvals, pair.t_eigvecs, sol.a_r
-    vecs = vecs if vecs.imag.any() else vecs.real   # a real T: real arithmetic, 4x fewer flops
-    dq, e = d * sol.q, sol.e[:, None]
-    u = -e * ((sol.q * vecs.conj()) @ vecs.T)
-    v = -e * ((vecs * dq) @ vecs.conj().T)
-    phi = (vecs * dq[:, None, :]) @ vecs.conj().T + (u / e)[:, :, None] * v[:, None, :]
-    phi2 = phi @ phi
+    dq, c_phi, factors = _factors(sol, pair)
+    a_r, e = sol.a_r, sol.e[:, None, None]
+    s = np.diagonal(factors[1][0, :, 0]).real   # y^T x
+    # phi^2 = diag(dq^2) + e (dq x) y^T + e x (dq y)^T + e^2 s x y^T
+    c_phi2 = e * (s[:, None, None] * c_phi + np.array([[0.0, 1.0], [1.0, 0.0]]))
+    m_t = (rho / m) * _trace(dq, c_phi, dq, c_phi, factors)
     f_prime = -(rho / m) * np.sum(a_r * a_r, axis=1)
-    g_t = -(rho / m) * np.trace(phi2, axis1=1, axis2=2).real
-    dr = (sr / m) * np.sum(v * u, axis=1).real / (1.0 - g_t * f_prime)
-    # B^{-1} E_k T B^{-1} = u v^T
-    dphi = u[:, :, None] * v[:, None, :] - (sr * f_prime * dr)[:, None, None] * phi2
+    # B^{-1} E_k T B^{-1} = e^2 x y^T, so g_x = (sqrt(rho)/M) e^2 s; and g_t = -diag(M_t)
+    dr = (sr / m) * sol.e ** 2 * s / (1.0 + np.diagonal(m_t) * f_prime)
+    c = sr * f_prime * dr
+    dd, c_d = -c[:, None] * dq * dq, e * c_phi - c[:, None, None] * c_phi2
+    dm_t, ddm_t = ((rho / m) * _trace(dd, c_d, b, c_b, factors)
+                   for b, c_b in ((dq, c_phi), (dd, c_d)))
     da_r = -sr * dr[:, None] * a_r * a_r
-
-    # Tr[X_k Y_l] = <vec X_k, vec Y_l^T>, so each kernel factor and its slot
-    # derivatives (d: first slot) are (rho/M) times one (M, K) @ (K, M) product
-    vec, vec_t = phi.reshape(m, -1), phi.transpose(0, 2, 1).reshape(m, -1)
-    dvec, dvec_t = dphi.reshape(m, -1), dphi.transpose(0, 2, 1).reshape(m, -1)
-    m_t, dm_t, ddm_t, m_r, dm_r, ddm_r = (
-        (rho / m) * (x @ y.T).real for x, y in ((vec, vec_t), (dvec, vec_t), (dvec, dvec_t),
-                                                (a_r, a_r), (da_r, a_r), (da_r, da_r)))
+    m_r, dm_r, ddm_r = ((rho / m) * (x @ y.T) for x, y in ((a_r, a_r), (da_r, a_r), (da_r, da_r)))
     p = m_t * m_r
     if p.max() >= 1.0:
         raise StabilityViolation(f"1 - M_t*M_r = {1.0 - p.max():.3e} <= 0")
     dp = dm_t * m_r + m_t * dm_r
     ddp = ddm_t * m_r + dm_t * dm_r.T + dm_t.T * dm_r + m_t * ddm_r
     sigma = dp * dp.T / (1.0 - p) ** 2 + ddp / (1.0 - p)
-    return SinrCovariance(sigma=0.5 * (sigma + sigma.T), step=0.0, method="implicit")
+    return SinrCovariance(sigma=0.5 * (sigma + sigma.T), method="implicit")
 
 
 def iid_closed_forms(config) -> IidClosedForms:

@@ -96,11 +96,10 @@ def mmse_mi_variance(mean_sinr: MeanSinrResult, sigma: SinrCovariance) -> float:
 
 
 def _closed_form_sigma(config) -> SinrCovariance:
-    cf = iid_closed_forms(config)
-    m = config.M
+    m, cf = config.M, iid_closed_forms(config)
     sigma = np.full((m, m), cf.v_od / (m * m))
     np.fill_diagonal(sigma, cf.v_d / m)
-    return SinrCovariance(sigma=sigma, step=0.0, method="iid-closed-form")
+    return SinrCovariance(sigma=sigma, method="iid-closed-form")
 
 
 def mmse_mi_gaussian(pair, config, variant: str = "taylor", step: float = 1e-3,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,8 +147,25 @@ def test_stencil_converges_onto_exact_covariance():
     )
     cfg = SystemConfig(M=16, N=32, rho=10 ** 1.2)
     exact = sinr_covariance_exact(pair, cfg)
-    assert exact.method == "implicit" and exact.step == 0.0
+    assert exact.method == "implicit"
     gaps = [np.max(np.abs(sinr_covariance(pair, cfg, step=h).sigma - exact.sigma))
             for h in (2e-3, 1e-3, 5e-4)]
     assert gaps[0] / gaps[1] >= 8.0
     assert gaps[1] / gaps[2] >= 8.0
+
+
+def test_exact_covariance_peak_memory():
+    # the exact covariance builds no (M, M, M) stack: one such stack in real
+    # arithmetic is 2.1 MB at M = 64, and a warm call stays under 2 MB
+    pair = CorrelationPair(
+        build_exponential_correlation(128, 0.5), build_exponential_correlation(64, 0.3)
+    )
+    cfg = SystemConfig(M=64, N=128, rho=10 ** 0.93)
+    sinr_covariance_exact(pair, cfg)   # the pair's eigendecompositions are built once
+    tracemalloc.start()
+    try:
+        sinr_covariance_exact(pair, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6

@@ -3,14 +3,15 @@
 Each example draws a pair kind, sizes, an SNR of at most 10 dB and a seed
 for the matrices: exponential correlations, a random real PSD pair, a
 complex Hermitian T, a rank-deficient T and M = 1. The exact covariance is
-checked against the finite-difference stencil, and every lane of a stacked
-Newton solve against a dense evaluation of both equations that shares no
-code with it, as is the point where a negative deformation makes the solver
-refuse. The mean SINRs and the optimal receiver's model are checked against
-the dense Kronecker statistics of perfbench/checks.py, which imports nothing
-from the package, and the exact receiver algebra against the ordering of its
-two mutual informations on drawn channel stacks, and a shared-draw Monte
-Carlo grid against the order of its sorted samples across SNRs.
+checked against the finite-difference stencil, the deformed cumulant kernel
+against traces of dense resolvents, and every lane of a stacked Newton solve
+against a dense evaluation of both equations that shares no code with it, as
+is the point where a negative deformation makes the solver refuse. The mean
+SINRs and the optimal receiver's model are checked against the dense Kronecker
+statistics of perfbench/checks.py, which imports nothing from the package, and
+the exact receiver algebra against the ordering of its two mutual informations
+on drawn channel stacks, and a shared-draw Monte Carlo grid against the order
+of its sorted samples across SNRs.
 """
 
 import pathlib
@@ -89,6 +90,28 @@ def test_exact_covariance_matches_stencil(system):
             for h in (1e-3, 2.5e-4)]
     assert min(gaps) <= 1e-6 * scale
     assert np.array_equal(exact, exact.T)
+
+
+@given(systems(), st.data())
+def test_joint_cumulant_matches_dense_traces(system, data):
+    # the stencil and the exact covariance share the low-rank trace, so the
+    # deformed kernel is checked against traces of dense resolvents
+    pair, cfg = system
+    m, n, sr = cfg.M, cfg.N, np.sqrt(cfg.rho)
+    k, l = (data.draw(st.integers(0, m - 1)) for _ in range(2))
+    x_k, x_l = (data.draw(st.floats(0.0, 1.5)) for _ in range(2))
+    r_mat, t_mat = np.asarray(pair.R), np.asarray(pair.T)
+    phi, psi = [], []
+    for kk, xx in ((k, x_k), (l, x_l)):
+        sol = solve_fixed_point(pair, cfg, Deformation(kk, xx), tol=TOL)
+        jt = t_mat.copy()
+        jt[kk, :] *= xx
+        # J T (I + s J T)^{-1} = (I + s J T)^{-1} J T, likewise on the R side
+        phi.append(np.linalg.solve(np.eye(m) + sr * sol.t * jt, jt))
+        psi.append(np.linalg.solve(np.eye(n) + sr * sol.r * r_mat, r_mat))
+    m_t, m_r = ((cfg.rho / m) * np.trace(a @ b).real for a, b in (phi, psi))
+    got = logdet_joint_cumulant(pair, cfg, k, l, x_k, x_l)
+    assert got == pytest.approx(-np.log1p(-m_t * m_r), rel=1e-12, abs=1e-14)
 
 
 @given(systems())

@@ -1,19 +1,19 @@
 """Seeded, worker-count-invariant Monte Carlo engine.
 
 Trials are split into fixed batches of 4096; each batch regenerates its
-channels from the per-trial Philox streams, in 512-row chunks, and evaluates
-the exact receiver quantities in stacked form at every SNR of the run, so
-the points of an SNR grid share one draw. Batches may run on any number of
-threads: every sum is taken within each fixed batch by numpy and the
-per-batch partial sums are combined exactly (math.fsum, in batch order), and
-every other reduction is a deterministic function of arrays assembled in
-trial order, so the resulting summary is bit-identical for any worker count.
+channels from the per-trial Philox streams, in chunks whose rows fall with
+N·M, and evaluates the exact receiver quantities in stacked form at every
+SNR of the run, so the points of an SNR grid share one draw. Batches may run
+on any number of threads: each writes its samples into its own slice of the
+run's arrays, every sum is taken within each fixed batch by numpy, the
+per-batch sums are combined exactly (math.fsum, in batch order), and every
+other reduction is a deterministic function of the arrays in trial order, so
+the resulting summary is bit-identical for any worker count.
 
 Sample retention: every run keeps the full sorted mutual-information vector
 of each receiver at each SNR, so outage and KS evaluations resolve
-probabilities to 1/n_trials. The samples take 16 bytes per trial per SNR
-point; a run holds them twice (in trial order and sorted) until it returns,
-and summarizing a point concatenates 16 bytes per trial more.
+probabilities to 1/n_trials. Each point holds them once, 16 bytes per trial:
+one array per receiver, filled in trial order and sorted in place.
 """
 
 import json
@@ -43,7 +43,8 @@ __all__ = [
 ]
 
 _BATCH = 4096
-_CHUNK = 512
+_CHUNK_ROWS = 512
+_CHUNK_ENTRIES = 2**15
 _Z95 = 1.959963984540054
 
 
@@ -116,30 +117,26 @@ def _worker_count(requested=None) -> int:
     return cap if cap > 0 else (os.cpu_count() or 1)
 
 
-def _batch_values(spec: TrialBatchSpec, rhos, lo: int, hi: int):
-    """Exact per-trial (gam, mi, opt) for trials [lo, hi), one triple per SNR.
+def _batch_stats(spec: TrialBatchSpec, rhos, lo: int, hi: int, mi, opt):
+    """Write trials [lo, hi)'s MIs at rhos[p] into mi[p] and opt[p]; return the sums.
 
-    Channels are drawn and reduced in fixed _CHUNK-row pieces so the working
-    set stays bounded; each piece's Gram matrix serves every SNR.
+    A chunk holds at most _CHUNK_ENTRIES channel entries, so the working set
+    stays small at every channel size; its Gram matrix serves every SNR.
     """
-    parts = [[] for _ in rhos]
-    for c_lo in range(lo, hi, _CHUNK):
-        g = gram(_draw_channels(spec.pair, spec.master_seed, c_lo, min(c_lo + _CHUNK, hi)))
-        for part, rho in zip(parts, rhos):
-            part.append(receiver_values(g, rho))
-    return [tuple(np.concatenate(x) for x in zip(*part)) for part in parts]
-
-
-def _batch_stats(spec: TrialBatchSpec, rhos, lo: int, hi: int):
+    m = spec.config.M
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_ENTRIES // (spec.config.N * m)))
+    views = [(np.empty((hi - lo, m)), x[lo:hi], y[lo:hi]) for x, y in zip(mi, opt)]
+    for c in range(0, hi - lo, rows):
+        g = gram(_draw_channels(spec.pair, spec.master_seed, lo + c, min(lo + c + rows, hi)))
+        for (gam, x, y), rho in zip(views, rhos):
+            gam[c:c + rows], x[c:c + rows], y[c:c + rows] = receiver_values(g, rho)
     return [{
         "g1": gam.sum(axis=0),
         "g2": gam.T @ gam,
         "g3": (gam**3).sum(axis=0),
-        "mi_s": np.array([mi.sum(), (mi**2).sum(), (mi**3).sum()]),
-        "opt_s": np.array([opt.sum(), (opt**2).sum()]),
-        "mi": mi,
-        "opt": opt,
-    } for gam, mi, opt in _batch_values(spec, rhos, lo, hi)]
+        "mi_s": np.array([x.sum(), (x**2).sum(), (x**3).sum()]),
+        "opt_s": np.array([y.sum(), (y**2).sum()]),
+    } for gam, x, y in views]
 
 
 def _fsum_axis(parts):
@@ -165,8 +162,9 @@ def _jackknife_var_se(x: np.ndarray, blocks: int = 64):
     return float(np.sqrt((blocks - 1) / blocks * np.sum((rest_var - mean_est) ** 2)))
 
 
-def _summarize(ordered, n: int, m: int, master_seed: int) -> EmpiricalSummary:
-    """Reduce one SNR point's per-batch stats, in batch order, to its summary."""
+def _summarize(ordered, mi, opt, m: int, master_seed: int) -> EmpiricalSummary:
+    """One point's summary from its batch sums and its trial-order mi/opt, sorted in place."""
+    n = len(mi)
     g1 = _fsum_axis([b["g1"] for b in ordered])
     g2 = _fsum_axis([b["g2"] for b in ordered])
     g3 = _fsum_axis([b["g3"] for b in ordered])
@@ -189,15 +187,15 @@ def _summarize(ordered, n: int, m: int, master_seed: int) -> EmpiricalSummary:
     mi_m3 = mi_s3 / n - 3 * mi_mean * mi_s2 / n + 2 * mi_mean**3
     mi_skew = float(mi_m3 / mi_m2**1.5) if mi_m2 > 0 else 0.0
 
-    mi_in_order = np.concatenate([b["mi"] for b in ordered])
+    mi_var_se = _jackknife_var_se(mi)
+    mi.sort()
+    opt.sort()
     return EmpiricalSummary(
-        mi_samples=np.sort(mi_in_order),
-        opt_samples=np.sort(np.concatenate([b["opt"] for b in ordered])),
+        mi_samples=mi, opt_samples=opt,
         sinr_mean=sinr_mean, sinr_cov=sinr_cov, sinr_skew=sinr_skew,
         mi_mean=float(mi_mean), mi_var=float(mi_var), mi_skewness=mi_skew,
         opt_mean=float(opt_mean), opt_var=float(opt_var),
-        n_trials=n, master_seed=master_seed,
-        mi_var_se=_jackknife_var_se(mi_in_order),
+        n_trials=n, master_seed=master_seed, mi_var_se=mi_var_se,
     )
 
 
@@ -211,8 +209,8 @@ def run_trials_grid(spec: TrialBatchSpec, rhos, n_workers=None):
     trials, per-trial randomness depends only on (master_seed, trial index),
     and all reductions run in fixed batch order. n_workers defaults to the
     MIMO_ASYMPT_THREADS environment variable (0 or unset = all cores).
-    Running out of memory, while drawing or while summarizing, raises
-    MonteCarloError.
+    Running out of memory, while allocating the samples, drawing or
+    summarizing, raises MonteCarloError.
     """
     # replace() re-runs SystemConfig's checks on every SNR
     rhos = [replace(spec.config, rho=float(r)).rho for r in rhos]
@@ -222,17 +220,18 @@ def run_trials_grid(spec: TrialBatchSpec, rhos, n_workers=None):
     workers = _worker_count(n_workers)
     _ = spec.pair.is_identity  # cache it before the pool so threads share it
 
-    lo_hi = [(lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
     batches = []
-    completed = 0
     try:
+        mi = [np.empty(n) for _ in rhos]
+        opt = [np.empty(n) for _ in rhos]
+        lo_hi = [(lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for stats in pool.map(lambda b: _batch_stats(spec, rhos, *b), lo_hi):
+            for stats in pool.map(lambda b: _batch_stats(spec, rhos, *b, mi, opt), lo_hi):
                 batches.append(stats)
-                completed += len(stats[0]["mi"])
-        return [_summarize(ordered, n, spec.config.M, spec.master_seed)
-                for ordered in zip(*batches)]
+        return [_summarize(ordered, mi[p], opt[p], spec.config.M, spec.master_seed)
+                for p, ordered in enumerate(zip(*batches))]
     except MemoryError as exc:
+        completed = min(len(batches) * _BATCH, n)
         raise MonteCarloError("out of memory during trial execution", completed) from exc
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -144,7 +145,7 @@ def test_resource_exhaustion_structured_error(monkeypatch):
 
 
 def test_memory_error_while_summarizing_is_structured(monkeypatch):
-    # the concatenate and sort of every sample run after the last batch
+    # the in-place sort of every point's samples runs after the last batch
     spec = _spec(trials=5000)
 
     def boom(*args, **kwargs):
@@ -154,6 +155,84 @@ def test_memory_error_while_summarizing_is_structured(monkeypatch):
     with pytest.raises(MonteCarloError) as exc:
         run_trials(spec, n_workers=2)
     assert exc.value.completed_trials == 5000
+
+
+def test_memory_error_counts_only_returned_batches(monkeypatch):
+    # the first batch returns, the second runs out of memory
+    real_stats = mc._batch_stats
+
+    def boom_from_second(spec, rhos, lo, hi, mi, opt):
+        if lo >= 4096:
+            raise MemoryError("synthetic")
+        return real_stats(spec, rhos, lo, hi, mi, opt)
+
+    monkeypatch.setattr(mc, "_batch_stats", boom_from_second)
+    with pytest.raises(MonteCarloError) as exc:
+        run_trials(_spec(trials=10_000), n_workers=1)
+    assert exc.value.completed_trials == 4096
+
+
+def test_impossible_trial_count_fails_before_any_batch():
+    # 2**59 trials need 4 EiB of samples, more than any address space holds
+    with pytest.raises(MonteCarloError) as exc:
+        run_trials(_spec(trials=2**59), n_workers=1)
+    assert exc.value.completed_trials == 0
+
+
+def _peak_bytes(fn):
+    fn()   # warm: caches and the pool's first threads are not counted
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_samples_held_once_per_point():
+    # each point's two receivers take 16 B per trial; the batches write into
+    # those arrays and the summary sorts them in place, with no copies
+    spec = _spec(m=2, n=2, trials=200_000)
+    assert _peak_bytes(lambda: run_trials(spec, n_workers=2)) / 200_000 <= 24
+
+
+def test_large_channel_grid_peak_memory():
+    # chunks sized from N·M keep the M16N32 working set small: the channels
+    # of one 512-row chunk alone would take 4 MB
+    pair = CorrelationPair(build_exponential_correlation(32, 0.5),
+                           build_exponential_correlation(16, 0.3))
+    spec = TrialBatchSpec(config=SystemConfig(M=16, N=32, rho=1.0), pair=pair,
+                          n_trials=4096, master_seed=3)
+    rhos = [10 ** (0.1 * db) for db in (9.0, 9.5, 10.0, 10.5, 11.0)]
+    assert _peak_bytes(lambda: run_trials_grid(spec, rhos, n_workers=1)) <= 8e6
+
+
+@pytest.mark.parametrize("m, n, zetas", [(5, 10, None), (16, 32, (0.5, 0.3))])
+def test_chunk_rows_leave_every_output_unchanged(monkeypatch, m, n, zetas):
+    pair = CorrelationPair.identity(n, m) if zetas is None else CorrelationPair(
+        build_exponential_correlation(n, zetas[0]), build_exponential_correlation(m, zetas[1]))
+    spec = TrialBatchSpec(config=SystemConfig(M=m, N=n, rho=1.0), pair=pair,
+                          n_trials=4096 + 300, master_seed=17)
+    rhos = [0.5, 8.0]
+    ref = run_trials_grid(spec, rhos, n_workers=1)
+    sizes = set()
+    real_draw = mc._draw_channels
+
+    def recording_draw(pair, master_seed, lo, hi):
+        sizes.add(hi - lo)
+        return real_draw(pair, master_seed, lo, hi)
+
+    monkeypatch.setattr(mc, "_draw_channels", recording_draw)
+    for rows in (1, 7, 64, 512):
+        monkeypatch.setattr(mc, "_CHUNK_ENTRIES", rows * n * m)
+        for workers in (1, 2):
+            sizes.clear()
+            got = run_trials_grid(spec, rhos, n_workers=workers)
+            assert max(sizes) == rows
+            for a, b in zip(ref, got):
+                assert summary_to_json(a) == summary_to_json(b)
+                assert np.array_equal(a.mi_samples, b.mi_samples)
+                assert np.array_equal(a.opt_samples, b.opt_samples)
 
 
 def test_spec_validation():

@@ -11,8 +11,9 @@ side (x = 1 leaves it untouched, x = 0 deletes stream k). T^{1/2} J T^{1/2}
 is the rank-one change T + c u u^H of T (c = x - 1, u = T^{1/2} e_k), so in
 T's eigenbasis T = U diag(d) U^H, with s = sqrt(rho) t and q = 1/(1 + s d),
 Sherman-Morrison gives Tr[Tt (I + s Tt)^{-1}] = sum d q + c a2 / (1 + s c a1),
-a1 = sum |U_kj|^2 d q, a2 = sum |U_kj|^2 d q^2; the domain ends where
-1 + s c a1 <= 0. One iteration over K deformations (lanes) costs O(K (M + N)).
+a1 = sum |U_kj|^2 d q, a2 = sum |U_kj|^2 d q^2; the domain ends where 1 + s c a1 <= 0.
+A lane is one deformation at one SNR, so one solve serves a whole SNR grid, and
+one iteration over K lanes costs O(K (M + N)).
 
 Per lane, h(t) = t - f(g(t)) = 0 (t = f(r), r = g(t)) is solved by Newton's
 method from t0 = sqrt(rho) min(1, N/M) / (1 + sqrt(rho)) until |h| <= tol t,
@@ -68,7 +69,8 @@ class FixedPointSolution:
 
     q = 1/(1 + s d), the Sherman-Morrison weight e = c/(1 + s c a1) (0 for J = I)
     and a_r = lam/(1 + sqrt(rho) r lam). For a stack of lanes t, r, residual and
-    e are arrays, and q and a_r hold one row per lane.
+    e are arrays, q and a_r hold one row per lane, and deformation lists each
+    lane's (index, x).
     """
 
     t: float
@@ -80,6 +82,13 @@ class FixedPointSolution:
     q: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     e: Optional[float] = field(default=None, compare=False, repr=False)
     a_r: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    def lanes(self, sel):
+        """Lanes sel of a stacked solve: a slice gives a stack, an int a one-lane solution."""
+        one, dfm = float if isinstance(sel, int) else np.asarray, self.deformation
+        return FixedPointSolution(*(one(v[sel]) for v in (self.t, self.r, self.residual)),
+                                  self.iterations, Deformation(dfm.index[sel], dfm.x[sel]),
+                                  self.q[sel], one(self.e[sel]), self.a_r[sel])
 
 
 @dataclass(frozen=True)
@@ -102,26 +111,30 @@ class MeanSinrResult:
 
 
 def solve_fixed_point(pair, config, deformation: Optional[Deformation] = None,
-                      tol: float = 1e-12, max_iter: int = 10000) -> FixedPointSolution:
+                      tol: float = 1e-12, max_iter: int = 10000, rho=None) -> FixedPointSolution:
     """Solve the coupled (t, r) equations for the given deformation (None: J = I).
 
-    A stack of lanes gives per-lane arrays, and iterations counts the passes.
-    A lane stops once |t - f(g(t))| <= tol t and one more Newton step has been
-    taken. Deterministic in its inputs. Raises NonConvergence when max_iter is
-    exhausted, carrying (iterations, largest residual).
+    rho, when given, is each lane's SNR in place of config.rho, broadcast with
+    the deformation. A stack of lanes gives per-lane arrays, and iterations
+    counts the passes. A lane stops once |t - f(g(t))| <= tol t and one more
+    Newton step has been taken; lanes never mix, so each gets the result it
+    gets alone. Raises NonConvergence when max_iter is exhausted, carrying
+    (iterations, largest residual).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m, n, rho, sr = config.M, config.N, config.rho, np.sqrt(config.rho)
+    m, n, rho0 = config.M, config.N, config.rho if rho is None else rho
     k, x0 = (0, 1.0) if deformation is None else (deformation.index, deformation.x)
-    index, x = np.broadcast_arrays(np.atleast_1d(k), np.atleast_1d(np.asarray(x0, dtype=float)))
+    index, x, rho = np.broadcast_arrays(np.atleast_1d(k), *(np.atleast_1d(np.asarray(v, float))
+                                                             for v in (x0, rho0)))
+    sr = np.sqrt(rho)
     if index.ndim != 1 or index.min() < 0 or index.max() >= pair.m:
         raise IndexError(f"deformation index out of range for M={pair.m}")
     d, lam, c = pair.t_eigvals, pair.r_eigvals, x - 1.0
     w = np.abs(pair.t_eigvecs[index]) ** 2   # w[i, j] = |U_kj|^2 for lane i's stream k
     psd = (x >= 0.0) | (pair.T.diagonal().real[index] == 0.0)   # T^{1/2} J T^{1/2} >= 0
 
-    t = np.full(len(index), sr * min(1.0, n / m) / (1.0 + sr))
+    t = sr * min(1.0, n / m) / (1.0 + sr)
     trusted, polished = np.ones(len(t), dtype=bool), np.zeros(len(t), dtype=bool)
     lo, hi, f_lo = np.zeros(len(t)), np.full(len(t), np.inf), np.zeros(len(t))
     with np.errstate(divide="ignore", invalid="ignore"):   # lanes past the edge give inf
@@ -135,7 +148,7 @@ def solve_fixed_point(pair, config, deformation: Optional[Deformation] = None,
             e = c / (1.0 + sca)   # Sherman-Morrison weight; 1 - s d q = q
             r = (sr / m) * (dq.sum(1) + e * a2)
             g_t = -(rho / m) * ((dq * dq).sum(1) + e * (2.0 * b2 + e * a2 * a2))
-            p = lam / (1.0 + sr * r[:, None] * lam)
+            p = lam / (1.0 + (sr * r)[:, None] * lam)
             f_r = (sr / m) * p.sum(1)
             h, dh = t - f_r, 1.0 + (rho / m) * (p * p).sum(1) * g_t
             # past a resolvent pole: 1 + s c a1 <= 0 (T side) or 1 + sqrt(rho) r lam_max <= 0
@@ -166,11 +179,8 @@ def solve_fixed_point(pair, config, deformation: Optional[Deformation] = None,
         else:
             raise NonConvergence(max_iter, float(residual[~done].max()))
 
-    if np.ndim(k) + np.ndim(x0) == 0:
-        t, r, residual, e = (float(v[0]) for v in (t, r, residual, e))
-        q, p = q[0], p[0]
-    return FixedPointSolution(t=t, r=r, residual=residual, iterations=iterations,
-                              deformation=deformation, q=q, e=e, a_r=p)
+    sol = FixedPointSolution(t, r, residual, iterations, Deformation(index, x), q, e, p)
+    return sol.lanes(0) if np.ndim(k) + np.ndim(x0) + np.ndim(rho0) == 0 else sol
 
 
 def mean_logdet_asymptotic(pair, config, solution: FixedPointSolution) -> float:
@@ -194,16 +204,17 @@ def mean_logdet_asymptotic(pair, config, solution: FixedPointSolution) -> float:
                  + np.log1p(arg_r).sum())
 
 
-def mean_sinr_asymptotic(pair, config, tol: float = 1e-12,
-                         max_iter: int = 10000) -> MeanSinrResult:
+def mean_sinr_asymptotic(pair, config, tol: float = 1e-12, max_iter: int = 10000,
+                         solution: Optional[FixedPointSolution] = None) -> MeanSinrResult:
     """Per-stream mean SINRs with their 1/N corrections.
 
     Everything is read from the weights q and a_r of the undeformed (J = I)
     solution: the deformation enters only through the linearized shift that
-    produces delta_gamma. Raises StabilityViolation if 1 - m_t2 m_r2 <= 0.
+    produces delta_gamma. solution, if given, is that solve at config.rho (one
+    lane of a grid solve). Raises StabilityViolation if 1 - m_t2 m_r2 <= 0.
     """
     m, rho = config.M, config.rho
-    sol = solve_fixed_point(pair, config, None, tol=tol, max_iter=max_iter)
+    sol = solution or solve_fixed_point(pair, config, None, tol=tol, max_iter=max_iter)
     d, q = pair.t_eigvals, sol.q
     w = np.abs(pair.t_eigvecs) ** 2         # w[k, j] = |U_kj|^2
     eta = w @ q

@@ -27,7 +27,7 @@ import numpy as np
 
 from .asymptotics import NonConvergence, StabilityViolation
 from .covariance import iid_closed_forms
-from .gaussian import mmse_mi_gaussian, mmse_mi_mean, outage_probability
+from .gaussian import mmse_mi_gaussian, mmse_mi_gaussian_grid, mmse_mi_mean, outage_probability
 from .montecarlo import (
     MonteCarloError,
     TrialBatchSpec,
@@ -63,16 +63,22 @@ def _snr_grid(scenario: Scenario):
     return list(zip(scenario.snr_db, scenario.rho))
 
 
-def _model(scenario: Scenario, pair, snr_db: float, rho: float, variant: str):
-    """The MMSE Gaussian model at one grid point, the optimal one as its .optimal.
+def _models(scenario: Scenario, pair, variant: str):
+    """The MMSE Gaussian model at every grid point, each with the optimal one as its .optimal.
 
-    A solver failure is re-raised as a _GridPointFailure naming the point.
+    A failed grid solve is re-run point by point, so the error names the first failing point.
     """
+    grid = _snr_grid(scenario)
+    knobs = {"variant": variant, "tol": scenario.tolerance, "max_iter": scenario.max_iter}
     try:
-        return mmse_mi_gaussian(pair, scenario.config(rho), variant=variant,
-                                tol=scenario.tolerance, max_iter=scenario.max_iter)
-    except (NonConvergence, StabilityViolation) as exc:
-        raise _GridPointFailure(f"at snr_db={snr_db}: {exc}") from exc
+        return mmse_mi_gaussian_grid(pair, scenario.config(grid[0][1]), scenario.rho, **knobs)
+    except (NonConvergence, StabilityViolation):
+        for snr_db, rho in grid:
+            try:
+                mmse_mi_gaussian(pair, scenario.config(rho), **knobs)
+            except (NonConvergence, StabilityViolation) as exc:
+                raise _GridPointFailure(f"at snr_db={snr_db}: {exc}") from exc
+        raise
 
 
 def cmd_asymptotics(scenario: Scenario, out_dir: str, units: str) -> int:
@@ -80,8 +86,7 @@ def cmd_asymptotics(scenario: Scenario, out_dir: str, units: str) -> int:
     conv = 1.0 if units == "nats" else 1.0 / LN2
     m = scenario.m
     rows = []
-    for snr_db, rho in _snr_grid(scenario):
-        model = _model(scenario, pair, snr_db, rho, "taylor")
+    for (snr_db, rho), model in zip(_snr_grid(scenario), _models(scenario, pair, "taylor")):
         ms, sig, opt = model.mean_sinr, model.sigma, model.optimal
         c1_p, _, c11_p = mmse_mi_mean(ms, sig, "as-printed")
         off = sig.sigma[~np.eye(m, dtype=bool)]
@@ -152,10 +157,10 @@ def cmd_simulate(scenario: Scenario, out_dir: str) -> int:
 
 
 def cmd_compare(scenario: Scenario, out_dir: str) -> int:
-    snr_db, rho = _single_point(scenario)
+    _, rho = _single_point(scenario)
     pair = scenario.build_pair()
     # the models first, so a solver failure exits before the simulation
-    mmse_model = _model(scenario, pair, snr_db, rho, scenario.mean_variant)
+    mmse_model = _models(scenario, pair, scenario.mean_variant)[0]
     summary = run_trials(_spec(scenario, pair, rho))
 
     lo = min(summary.mi_samples[0], summary.opt_samples[0])
@@ -188,14 +193,13 @@ def cmd_outage(scenario: Scenario, out_dir: str) -> int:
     grid = _snr_grid(scenario)
     # one draw of the channels serves every grid point
     spec = _spec(scenario, pair, scenario.rho[0])
-    p_gauss = [outage_probability(_model(scenario, pair, snr_db, rho, scenario.mean_variant),
-                                  rate_nats)
-               for snr_db, rho in grid]
+    models = _models(scenario, pair, scenario.mean_variant)
     rows = []
-    for (snr_db, _), p_g, summary in zip(grid, p_gauss, run_trials_grid(spec, scenario.rho)):
+    for (snr_db, _), model, summary in zip(grid, models, run_trials_grid(spec, scenario.rho)):
         p_mmse, hw_m = empirical_outage(summary, rate_nats, "mmse")
         p_opt, hw_o = empirical_outage(summary, rate_nats, "optimal")
-        rows.append((snr_db, p_g, p_mmse, p_opt, max(hw_m, hw_o)))
+        rows.append((snr_db, outage_probability(model, rate_nats), p_mmse, p_opt,
+                     max(hw_m, hw_o)))
     path = os.path.join(out_dir, "outage.csv")
     _write_csv(path, ["snr_db", "pout_mmse_gauss", "pout_mmse_mc", "pout_opt_mc",
                       "ci_halfwidth"], rows)

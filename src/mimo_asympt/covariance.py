@@ -11,7 +11,8 @@ x_k = x_l = 0 (the deflated base point). In T's eigenbasis phi_k is a diagonal
 plus rank one, and phi_k^2 and its derivative a diagonal plus rank two, so one
 routine, _trace, gives each such trace for every stream pair from (M, M)
 products. Production uses sinr_covariance_exact, implicit differentiation at
-the M deflated fixed points of one stacked solve. The oracle, sinr_covariance,
+the M deflated fixed points, each point's lanes of the one stacked solve that
+mmse_mi_gaussian_grid makes for an SNR grid. The oracle, sinr_covariance,
 differences F over a central four-point stencil with one Richardson level
 (steps h and h/2), again one stacked solve, and converges onto it at order h^4.
 
@@ -21,7 +22,7 @@ percent of the true SINR covariance at M = 8, where the closed forms sit ~10% lo
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -140,19 +141,21 @@ def sinr_covariance(pair, config, step: float = 1e-3, tol: float = 1e-12,
     return SinrCovariance(sigma=0.5 * (sigma + sigma.T))
 
 
-def sinr_covariance_exact(pair, config, tol: float = 1e-12,
-                          max_iter: int = 10000) -> SinrCovariance:
+def sinr_covariance_exact(pair, config, tol: float = 1e-12, max_iter: int = 10000,
+                          solution: Optional[FixedPointSolution] = None) -> SinrCovariance:
     """Full M x M SINR covariance by implicit differentiation at x = 0.
 
-    Per stream k, at the deflated fixed point of t = f(r), r = g(t, x):
-    dr_k = g_x / (1 - g_t f'(r_k)), dt_k = f'(r_k) dr_k, with E_k = e_k e_k^T,
+    solution, if given, is the M deflated lanes (x = 0, stream order) at
+    config.rho, solved here otherwise. Per stream k, at the deflated fixed
+    point of t = f(r), r = g(t, x): dr_k = g_x / (1 - g_t f'(r_k)),
+    dt_k = f'(r_k) dr_k, with E_k = e_k e_k^T,
     g_x = (sqrt(rho)/M) Tr[B^{-1} E_k T B^{-1}], g_t = -(rho/M) Tr phi_k^2 and
     dphi_k = B^{-1} E_k T B^{-1} - sqrt(rho) dt_k phi_k^2. Then, with p = M_t M_r,
     Sigma_kl = d_k p d_l p / (1-p)^2 + d_k d_l p / (1-p); StabilityViolation if p >= 1.
     """
     m, rho, sr = config.M, config.rho, np.sqrt(config.rho)
-    sol = solve_fixed_point(pair, config, Deformation(np.arange(m), np.zeros(m)),
-                            tol=tol, max_iter=max_iter)
+    sol = solution or solve_fixed_point(pair, config, Deformation(np.arange(m), np.zeros(m)),
+                                        tol=tol, max_iter=max_iter)
     dq, c_phi, factors = _factors(sol, pair)
     a_r, e = sol.a_r, sol.e[:, None, None]
     s = np.diagonal(factors[1][0, :, 0]).real   # y^T x

@@ -3,9 +3,10 @@
 Assembles mean c1 and variance c2 of the per-stream mutual information sum
 (nats) from the asymptotic SINR statistics, for both the MMSE and the
 optimal receiver, and evaluates P(I <= R) under the Gaussian approximation.
-Both receivers' models read one undeformed fixed-point solution, the one
-the mean SINRs carry: the optimal receiver's mean is the log-det at it, and
-its variance -log(1 - m_t2 m_r2) uses the same m_t2 and m_r2 as delta_gamma.
+One stacked fixed-point solve serves an SNR grid: per point, both receivers'
+models read its undeformed lane, the one the mean SINRs carry (the optimal
+mean is the log-det at it, its variance -log(1 - m_t2 m_r2) uses the same
+m_t2 and m_r2 as delta_gamma), and the covariance its M deflated lanes.
 
 Two mean assemblies are provided. The "as-printed" form adds the raw
 correction sum(delta_gamma_k + Sigma_kk); the "taylor" form (default) is the
@@ -25,13 +26,14 @@ content overshoots once mapped through the log. Correlated pairs use the
 exact finite-M covariance, sinr_covariance_exact, the only general path.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 from typing import Optional
 
 import numpy as np
 
-from .asymptotics import MeanSinrResult, mean_logdet_asymptotic, mean_sinr_asymptotic
+from .asymptotics import (Deformation, MeanSinrResult, mean_logdet_asymptotic,
+                          mean_sinr_asymptotic, solve_fixed_point)
 from .covariance import SinrCovariance, iid_closed_forms, sinr_covariance_exact
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "mmse_mi_mean",
     "mmse_mi_variance",
     "mmse_mi_gaussian",
+    "mmse_mi_gaussian_grid",
     "optimal_mi_gaussian",
     "outage_probability",
 ]
@@ -104,23 +107,38 @@ def _closed_form_sigma(config) -> SinrCovariance:
 
 def mmse_mi_gaussian(pair, config, variant: str = "taylor", step: float = 1e-3,
                      tol: float = 1e-12, max_iter: int = 10000) -> MutualInfoGaussian:
-    """Gaussian parameters of the MMSE receiver's mutual information.
+    """The one-point mmse_mi_gaussian_grid at config.rho; step has no effect (kept for callers)."""
+    return mmse_mi_gaussian_grid(pair, config, [config.rho], variant, tol, max_iter)[0]
 
-    The covariance is the identity-correlation closed forms for an identity
-    pair and the exact implicit-differentiation matrix otherwise; the model
-    carries the mean SINRs and the covariance it was assembled from, and the
-    optimal receiver's model read from the same mean SINRs. step has no
-    effect: it is kept only for callers that still pass it.
+
+def mmse_mi_gaussian_grid(pair, config, rhos, variant: str = "taylor", tol: float = 1e-12,
+                          max_iter: int = 10000) -> list:
+    """Gaussian parameters of the MMSE receiver's mutual information at each SNR in rhos.
+
+    config gives M and N (its rho is not read). One stacked solve serves the
+    grid; lanes never mix, so each point's model is the one it gets alone. The
+    covariance is the identity-correlation closed forms for an identity pair
+    and the exact implicit-differentiation matrix otherwise. Each model carries
+    the mean SINRs and covariance it was assembled from, and the point's
+    optimal-receiver model, read from the same mean SINRs.
     """
-    ms = mean_sinr_asymptotic(pair, config, tol=tol, max_iter=max_iter)
-    if pair.is_identity:
-        sigma = _closed_form_sigma(config)
-    else:
-        sigma = sinr_covariance_exact(pair, config, tol=tol, max_iter=max_iter)
-    c1, c10, c11 = mmse_mi_mean(ms, sigma, variant)
-    return MutualInfoGaussian(c1=c1, c2=mmse_mi_variance(ms, sigma), c10=c10, c11=c11,
-                              receiver="mmse", variant=variant, mean_sinr=ms, sigma=sigma,
-                              optimal=_optimal_model(pair, config, ms))
+    configs = [replace(config, rho=float(r)) for r in rhos]
+    streams = np.arange(0 if pair.is_identity else config.M)
+    per = 1 + len(streams)   # a point's lanes: undeformed (x = 1), then stream k deflated (x = 0)
+    dfm = Deformation(np.tile(np.r_[0, streams], len(configs)),
+                      np.tile(np.r_[1.0, np.zeros(len(streams))], len(configs)))
+    sol = solve_fixed_point(pair, config, dfm, tol=tol, max_iter=max_iter,
+                            rho=np.repeat([c.rho for c in configs], per))
+    models = []
+    for p, cfg in enumerate(configs):
+        ms = mean_sinr_asymptotic(pair, cfg, solution=sol.lanes(p * per))
+        sigma = _closed_form_sigma(cfg) if pair.is_identity else sinr_covariance_exact(
+            pair, cfg, solution=sol.lanes(slice(p * per + 1, (p + 1) * per)))
+        c1, c10, c11 = mmse_mi_mean(ms, sigma, variant)
+        models.append(MutualInfoGaussian(c1=c1, c2=mmse_mi_variance(ms, sigma), c10=c10, c11=c11,
+                                         receiver="mmse", variant=variant, mean_sinr=ms,
+                                         sigma=sigma, optimal=_optimal_model(pair, cfg, ms)))
+    return models
 
 
 def _optimal_model(pair, config, ms: MeanSinrResult) -> MutualInfoGaussian:

@@ -264,16 +264,18 @@ def empirical_outage(summary: EmpiricalSummary, rate_nats: float,
 def ks_distance(summary: EmpiricalSummary, model: MutualInfoGaussian) -> float:
     """sup_x |ECDF(x) - Phi((x - c1)/sqrt(c2))| over the sample points.
 
-    The receiver whose samples are compared is taken from the model.
+    The receiver whose samples are compared is taken from the model; they are
+    read _BATCH at a time, so the memory taken stays bounded.
     """
     if model.c2 <= 0:
         raise ValueError("model variance must be positive for a KS distance")
     xs = _samples_for(summary, model.receiver)
-    n = len(xs)
-    f_model = _normal_cdf((xs - model.c1) / math.sqrt(model.c2))
-    upper = np.arange(1, n + 1) / n - f_model
-    lower = f_model - np.arange(0, n) / n
-    return float(max(upper.max(), lower.max()))
+    n, gap = len(xs), -np.inf
+    for lo in range(0, n, _BATCH):
+        f_model = _normal_cdf((xs[lo:lo + _BATCH] - model.c1) / math.sqrt(model.c2))
+        rank = np.arange(lo, lo + len(f_model))
+        gap = max(gap, ((rank + 1) / n - f_model).max(), (f_model - rank / n).max())
+    return float(gap)
 
 
 def summary_to_json(summary: EmpiricalSummary, config: SystemConfig = None) -> str:
@@ -297,8 +299,10 @@ def summary_to_json(summary: EmpiricalSummary, config: SystemConfig = None) -> s
 
 
 def write_samples_csv(summary: EmpiricalSummary, path) -> None:
-    """Write the sorted sample columns as CSV with header mi_nats,opt_nats."""
+    """Write the sorted sample columns as CSV, header mi_nats,opt_nats, _BATCH rows at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("mi_nats,opt_nats\n")
-        for a, b in zip(summary.mi_samples, summary.opt_samples):
-            f.write(f"{a:.12g},{b:.12g}\n")
+        for lo in range(0, summary.n_trials, _BATCH):
+            rows = zip(summary.mi_samples[lo:lo + _BATCH].tolist(),
+                       summary.opt_samples[lo:lo + _BATCH].tolist())
+            f.write("".join(["%.12g,%.12g\n" % row for row in rows]))

@@ -100,16 +100,22 @@ def test_sample_channel_dimension_mismatch():
         sample_channel(pair, SystemConfig(M=2, N=4, rho=1.0), 0, 0)
 
 
+def _moment_rows(pair, cfg, seed, k, chunk=8192):
+    """Rows 0..k-1 of the (seed, trial) draw, in chunks; one row is also drawn alone."""
+    rows = np.concatenate([_draw_channels(pair, seed, lo, min(lo + chunk, k))
+                           for lo in range(0, k, chunk)])
+    probe = k // 3
+    assert np.array_equal(sample_channel(pair, cfg, seed, probe), rows[probe])
+    return rows
+
+
 def test_sample_channel_unit_variance():
     # E|H_11|^2 = 1 for identity correlations, tolerance ~3 sigma at 1e5 draws
     pair = CorrelationPair.identity(2, 2)
     cfg = SystemConfig(M=2, N=2, rho=1.0)
     k = 100_000
-    acc = 0.0
-    for i in range(k):
-        h = sample_channel(pair, cfg, 2024, i)
-        acc += abs(h[0, 0]) ** 2
-    assert 0.99 <= acc / k <= 1.01
+    h = _moment_rows(pair, cfg, 2024, k)
+    assert 0.99 <= np.sum(np.abs(h[:, 0, 0]) ** 2) / k <= 1.01
 
 
 def test_sample_channel_receive_correlation():
@@ -117,11 +123,8 @@ def test_sample_channel_receive_correlation():
     pair = CorrelationPair(np.array([[1.0, 0.7], [0.7, 1.0]]), np.eye(2))
     cfg = SystemConfig(M=2, N=2, rho=1.0)
     k = 100_000
-    acc = 0.0 + 0.0j
-    for i in range(k):
-        h = sample_channel(pair, cfg, 555, i)
-        acc += h[0, 0] * np.conj(h[1, 0])
-    est = acc / k
+    h = _moment_rows(pair, cfg, 555, k)
+    est = np.sum(h[:, 0, 0] * np.conj(h[:, 1, 0])) / k
     assert abs(est - 0.7) <= 0.01
 
 
@@ -133,11 +136,8 @@ def test_sample_channel_full_kronecker_moment_complex_t():
     pair = CorrelationPair(r, t)
     cfg = SystemConfig(M=2, N=3, rho=1.0)
     k = 100_000
-    acc_rt = np.zeros((3, 2, 3, 2), dtype=np.complex128)
-    for i in range(k):
-        h = sample_channel(pair, cfg, 777, i)
-        acc_rt += np.einsum("ia,jb->iajb", h, h.conj())
-    est = acc_rt / k
+    h = _moment_rows(pair, cfg, 777, k)
+    est = np.einsum("kia,kjb->iajb", h, h.conj()) / k
     tol = 4.0 / np.sqrt(k)
     for (i, a, j, b) in [(0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 2, 1), (0, 1, 1, 0)]:
         assert abs(est[i, a, j, b] - r[i, j] * t[a, b]) <= tol

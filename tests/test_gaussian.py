@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mimo_asympt import (
     iid_closed_forms,
     mean_sinr_asymptotic,
     mmse_mi_gaussian,
+    mmse_mi_gaussian_grid,
     mmse_mi_mean,
     mmse_mi_variance,
     optimal_mi_gaussian,
@@ -204,3 +207,46 @@ def test_covariance_path_choice():
     assert model.sigma.method == "implicit"
     np.testing.assert_array_equal(model.sigma.sigma, sinr_covariance_exact(corr, cfg).sigma)
     assert model.c2 == mmse_mi_variance(mean_sinr_asymptotic(corr, cfg), model.sigma)
+
+
+def _drawn_psd(rng, size, rank=None, complex_=False):
+    v = rng.standard_normal((size, rank or size))
+    if complex_:
+        v = v + 1j * rng.standard_normal(v.shape)
+    a = v @ v.conj().T
+    return a * (size / np.trace(a).real)
+
+
+_GRID_PAIRS = {
+    "identity": lambda rng: CorrelationPair.identity(7, 4),
+    "exponential": lambda rng: CorrelationPair(build_exponential_correlation(7, 0.5),
+                                               build_exponential_correlation(4, 0.3)),
+    "complex-t": lambda rng: CorrelationPair(_drawn_psd(rng, 7), _drawn_psd(rng, 4, complex_=True)),
+    "rank-deficient-t": lambda rng: CorrelationPair(_drawn_psd(rng, 7), _drawn_psd(rng, 4, rank=3)),
+}
+
+
+@pytest.mark.parametrize("variant", ["taylor", "as-printed"])
+@pytest.mark.parametrize("kind", list(_GRID_PAIRS))
+def test_grid_points_equal_one_point_calls(kind, variant):
+    # one stacked solve over the grid gives, point by point, the bits of every
+    # one-point call; tol 1e-10, since at 1e-12 a deflated lane of a correlated
+    # pair stalls on round-off at 60 dB
+    pair = _GRID_PAIRS[kind](np.random.default_rng(11))
+    cfg, tol = SystemConfig(M=4, N=7, rho=1.0), 1e-10
+    rhos = [10.0 ** (db / 10.0) for db in (3.0, -120.0, 60.0, 30.0, 3.0)]
+    grid = mmse_mi_gaussian_grid(pair, cfg, rhos, variant=variant, tol=tol)
+    assert len(grid) == len(rhos)
+    for model, rho in zip(grid, rhos):
+        at = replace(cfg, rho=rho)
+        one = mmse_mi_gaussian(pair, at, variant=variant, tol=tol)
+        assert model == one   # c1, c2, c10, c11, receiver and variant
+        assert model.optimal == one.optimal == optimal_mi_gaussian(pair, at, tol=tol)
+        for ms in (one.mean_sinr, mean_sinr_asymptotic(pair, at, tol=tol)):
+            np.testing.assert_array_equal(model.mean_sinr.gamma_bar, ms.gamma_bar)
+            np.testing.assert_array_equal(model.mean_sinr.delta_gamma, ms.delta_gamma)
+        np.testing.assert_array_equal(model.sigma.sigma, one.sigma.sigma)
+        assert model.sigma.method == ("iid-closed-form" if kind == "identity" else "implicit")
+        if kind != "identity":
+            np.testing.assert_array_equal(model.sigma.sigma,
+                                          sinr_covariance_exact(pair, at, tol=tol).sigma)

@@ -95,6 +95,49 @@ def test_ks_distance_synthetic_gaussian():
     assert ks_distance(s, shifted) > 0.99
 
 
+def _sorted_summary(x):
+    return EmpiricalSummary(
+        mi_samples=x, opt_samples=x[::-1].copy(), sinr_mean=np.zeros(1),
+        sinr_cov=np.zeros((1, 1)), sinr_skew=np.zeros(1), mi_mean=0.0, mi_var=1.0,
+        mi_skewness=0.0, opt_mean=0.0, opt_var=1.0, n_trials=len(x), master_seed=0,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 4096, 10_007, 200_000])
+def test_ks_distance_equals_the_whole_array_formula(n):
+    # the chunked evaluation gives the bits of the one-shot formula
+    x = np.sort(np.random.default_rng(n).standard_normal(n))
+    model = MutualInfoGaussian(c1=0.1, c2=1.3, c10=0.0, c11=0.0, receiver="mmse")
+    f = mc._normal_cdf((x - 0.1) / np.sqrt(1.3))
+    expected = max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max())
+    assert ks_distance(_sorted_summary(x), model) == expected
+
+
+def test_ks_distance_peak_memory():
+    # bounded chunks: the samples are only read, never copied whole
+    s = _sorted_summary(np.sort(np.random.default_rng(1).standard_normal(200_000)))
+    model = MutualInfoGaussian(c1=0.0, c2=1.0, c10=0.0, c11=0.0, receiver="mmse")
+    assert _peak_bytes(lambda: ks_distance(s, model)) / 200_000 <= 16
+
+
+def _per_row_csv(summary, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("mi_nats,opt_nats\n")
+        for a, b in zip(summary.mi_samples, summary.opt_samples):
+            f.write(f"{a:.12g},{b:.12g}\n")
+
+
+def test_samples_csv_bytes_equal_the_per_row_writer(tmp_path):
+    rng = np.random.default_rng(8)
+    x = np.concatenate(([0.0, 1e-300, 5e-324, 0.1, 1.0, 123456789.123456789, 1e300, np.inf],
+                        rng.lognormal(0.0, 3.0, 2 * 4096 + 5)))
+    s = _sorted_summary(np.sort(x))
+    write_samples_csv(s, tmp_path / "blocks.csv")
+    _per_row_csv(s, tmp_path / "rows.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert b"\n0,inf\n" in (tmp_path / "rows.csv").read_bytes()
+
+
 def test_sinr_covariance_matches_montecarlo_diagonal():
     # spec-level invariant: empirical SINR covariance within 10% on the
     # diagonal at M=8, N=16, 1e6 trials (measured agreement is ~1%)

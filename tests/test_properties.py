@@ -8,8 +8,9 @@ against traces of dense resolvents, and every lane of a stacked Newton solve
 against a dense evaluation of both equations that shares no code with it, as
 is the point where a negative deformation makes the solver refuse. The mean
 SINRs and the optimal receiver's model are checked against the dense Kronecker
-statistics of perfbench/checks.py, which imports nothing from the package, and
-the exact receiver algebra against the ordering of its two mutual informations
+statistics of perfbench/checks.py, which imports nothing from the package, a
+grid of Gaussian models against its one-point calls, the exact receiver
+algebra against the ordering of its two mutual informations
 on drawn channel stacks, and a shared-draw Monte Carlo grid against the order
 of its sorted samples across SNRs.
 """
@@ -17,6 +18,7 @@ of its sorted samples across SNRs.
 import pathlib
 import types
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from mimo_asympt import (
     build_exponential_correlation,
     gram,
     mmse_mi_gaussian,
+    mmse_mi_gaussian_grid,
     optimal_mi_gaussian,
     receiver_values,
     run_trials_grid,
@@ -172,6 +175,20 @@ def test_mean_sinr_and_optimal_model_match_dense_oracle(system):
     for k in range(cfg.M):
         assert opt.c2 == pytest.approx(logdet_joint_cumulant(pair, cfg, k, k, 1.0, 1.0),
                                        rel=1e-12)
+
+
+@given(systems(), st.lists(st.floats(-10.0, 30.0), min_size=1, max_size=6))
+def test_grid_models_equal_one_point_models(system, snr_db):
+    # lanes never mix, so each point of the one stacked solve gives the bits
+    # of the model solved at that SNR alone
+    pair, cfg = system
+    rhos = [10.0 ** (db / 10.0) for db in snr_db]
+    for model, rho in zip(mmse_mi_gaussian_grid(pair, cfg, rhos), rhos, strict=True):
+        one = mmse_mi_gaussian(pair, replace(cfg, rho=rho))
+        assert model == one and model.optimal == one.optimal
+        np.testing.assert_array_equal(model.mean_sinr.gamma_bar, one.mean_sinr.gamma_bar)
+        np.testing.assert_array_equal(model.mean_sinr.delta_gamma, one.mean_sinr.delta_gamma)
+        np.testing.assert_array_equal(model.sigma.sigma, one.sigma.sigma)
 
 
 @given(systems(kinds=["exponential", "complex-t", "single-stream"]), st.floats(0.0, 30.0),

@@ -15,7 +15,7 @@ from mimo_asympt import (
     save_correlation_json,
 )
 import mimo_asympt.montecarlo as mc
-from mimo_asympt import asymptotics, cli, scenario
+from mimo_asympt import asymptotics, cli, gaussian, scenario
 from mimo_asympt.cli import main
 
 LN2 = math.log(2.0)
@@ -144,6 +144,32 @@ def test_exit_code_3_on_forced_nonconvergence(tmp_path):
     )
     assert main(["asymptotics", "--scenario", str(path), "--out",
                  str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("verb", ["asymptotics", "outage"])
+def test_grid_solve_failure_names_the_first_failing_point(tmp_path, capsys, verb):
+    # with max_iter=6 only 0 dB converges: the grid's one solve fails as a
+    # whole, and the error still names the first point that fails alone
+    path = _write_scenario(tmp_path, snr_db=[0.0, 20.0, 40.0], max_iter=6,
+                           correlation={"type": "exponential", "zeta_r": 0.99, "zeta_t": 0.99})
+    assert main([verb, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: at snr_db=20.0: fixed point")
+
+
+def test_stability_failure_after_the_solve_names_its_point(tmp_path, monkeypatch, capsys):
+    # a check made after the grid's solve fails at the second and third
+    # points; the error names the second
+    read = gaussian.mean_sinr_asymptotic
+
+    def failing_above_10_db(pair, config, **kwargs):
+        if config.rho > 10.0:
+            raise asymptotics.StabilityViolation(f"forced at rho={config.rho}")
+        return read(pair, config, **kwargs)
+
+    monkeypatch.setattr(gaussian, "mean_sinr_asymptotic", failing_above_10_db)
+    path = _write_scenario(tmp_path, snr_db=[6.0, 12.0, 18.0])
+    assert main(["asymptotics", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: at snr_db=12.0: forced")
 
 
 def test_cmd_simulate_single_row(tmp_path):
@@ -437,10 +463,13 @@ def test_compare_fails_before_the_simulation(tmp_path, monkeypatch, capsys):
     ("asymptotics", {"type": "identity"}, [0.0, 6.0]),
     ("compare", {"type": "exponential", "zeta_r": 0.5, "zeta_t": 0.3}, 6.0),
     ("compare", {"type": "identity"}, 6.0),
+    ("outage", {"type": "exponential", "zeta_r": 0.5, "zeta_t": 0.3}, [0.0, 6.0, 12.0]),
+    ("outage", {"type": "identity"}, [0.0, 6.0]),
 ])
-def test_one_undeformed_solve_per_grid_point(tmp_path, monkeypatch, verb, correlation, snr_db):
-    # both receivers' models read the one undeformed solve, and a correlated
-    # point adds the covariance's one stacked solve over its M deflated streams
+def test_one_fixed_point_solve_per_verb_call(tmp_path, monkeypatch, verb, correlation, snr_db):
+    # one stacked solve serves the grid: per point, the undeformed lane that both
+    # receivers' models read and, for a correlated pair, the covariance's M
+    # deflated lanes
     solve = asymptotics.solve_fixed_point
     calls = []
 
@@ -454,10 +483,10 @@ def test_one_undeformed_solve_per_grid_point(tmp_path, monkeypatch, verb, correl
     path = _write_scenario(tmp_path, snr_db=snr_db, correlation=correlation, trials=64)
     assert main([verb, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
     points = len(np.atleast_1d(snr_db))
-    stacked = [d for d in calls if d is not None]
-    assert len(calls) - len(stacked) == points
-    assert len(stacked) == (0 if correlation["type"] == "identity" else points)
-    assert all(np.array_equal(d.index, np.arange(3)) and not d.x.any() for d in stacked)
+    assert len(calls) == 1
+    streams = [] if correlation["type"] == "identity" else [0, 1, 2]
+    np.testing.assert_array_equal(calls[0].index, np.tile([0] + streams, points))
+    np.testing.assert_array_equal(calls[0].x, np.tile([1.0] + [0.0] * len(streams), points))
 
 
 def test_cli_import_pulls_in_no_scipy():

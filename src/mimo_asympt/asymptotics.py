@@ -11,7 +11,9 @@ side (x = 1 leaves it untouched, x = 0 deletes stream k). T^{1/2} J T^{1/2}
 is the rank-one change T + c u u^H of T (c = x - 1, u = T^{1/2} e_k), so in
 T's eigenbasis T = U diag(d) U^H, with s = sqrt(rho) t and q = 1/(1 + s d),
 Sherman-Morrison gives Tr[Tt (I + s Tt)^{-1}] = sum d q + c a2 / (1 + s c a1),
-a1 = sum |U_kj|^2 d q, a2 = sum |U_kj|^2 d q^2; the domain ends where 1 + s c a1 <= 0.
+a1 = sum |U_kj|^2 d q, a2 = sum |U_kj|^2 d q^2. As sum_j |U_kj|^2 = 1 and s d q = 1 - q,
+1 + s c a1 is taken as x + (1 - x) sum |U_kj|^2 q, since 1 - s a1 (x = 0) cancels to round-off
+as s a1 -> 1 at high SNR; the domain ends where it is <= 0.
 A lane is one deformation at one SNR, so one solve serves a whole SNR grid, and
 one iteration over K lanes costs O(K (M + N)).
 
@@ -143,16 +145,16 @@ def solve_fixed_point(pair, config, deformation: Optional[Deformation] = None,
             q = 1.0 / (1.0 + s[:, None] * d)
             dq = d * q
             wdq = w * dq
-            a1, a2, b2 = wdq.sum(1), (wdq * q).sum(1), (wdq * dq * q).sum(1)
-            sca = s * c * a1
-            e = c / (1.0 + sca)   # Sherman-Morrison weight; 1 - s d q = q
+            a2, b2 = (wdq * q).sum(1), (wdq * dq * q).sum(1)
+            den = x + (1.0 - x) * (w * q).sum(1)   # 1 + s c a1, with no cancellation
+            e = c / den   # Sherman-Morrison weight; 1 - s d q = q
             r = (sr / m) * (dq.sum(1) + e * a2)
             g_t = -(rho / m) * ((dq * dq).sum(1) + e * (2.0 * b2 + e * a2 * a2))
             p = lam / (1.0 + (sr * r)[:, None] * lam)
             f_r = (sr / m) * p.sum(1)
             h, dh = t - f_r, 1.0 + (rho / m) * (p * p).sum(1) * g_t
             # past a resolvent pole: 1 + s c a1 <= 0 (T side) or 1 + sqrt(rho) r lam_max <= 0
-            edge = (sca <= -1.0) | (sr * r * lam[-1] <= -1.0)
+            edge = (den <= 0.0) | (sr * r * lam[-1] <= -1.0)
             if np.any(edge & trusted):   # no root before the domain edge
                 raise StabilityViolation("deformed resolvent left the positive domain")
             h[edge] = -np.inf
@@ -188,19 +190,17 @@ def mean_logdet_asymptotic(pair, config, solution: FixedPointSolution) -> float:
 
     Tr log(I + sqrt(rho) t Tt) - M t r + Tr log(I + sqrt(rho) r R), in nats,
     with J = J_k(x) the solution's own deformation. By the determinant lemma
-    the first term is sum log(1 + s d) + log(1 + s c a1), with s = sqrt(rho) t,
-    c = x - 1 and a1 = sum_j |U_kj|^2 d_j q_j. For J = I this is the mean
-    mutual information of the optimal receiver.
+    the first term is sum log(1 + s d) + log(x + (1 - x) sum_j |U_kj|^2 q_j),
+    with s = sqrt(rho) t. For J = I this is the mean mutual information of the
+    optimal receiver.
     """
-    m, sr, dfm = config.M, np.sqrt(config.rho), solution.deformation
-    k, x = (0, 1.0) if dfm is None else (dfm.index, dfm.x)
+    m, sr, x = config.M, np.sqrt(config.rho), solution.deformation.x
     d, lam = pair.t_eigvals, pair.r_eigvals
-    s = sr * solution.t
-    a1 = (np.abs(pair.t_eigvecs[k]) ** 2) @ (d * solution.q)
-    arg_c, arg_r = s * (x - 1.0) * a1, sr * solution.r * lam
-    if arg_c <= -1.0 or np.min(arg_r) <= -1.0:
+    den = x + (1.0 - x) * (np.abs(pair.t_eigvecs[solution.deformation.index]) ** 2) @ solution.q
+    arg_r = sr * solution.r * lam
+    if den <= 0.0 or np.min(arg_r) <= -1.0:
         raise StabilityViolation("log argument left the positive domain")
-    return float(np.log1p(s * d).sum() + np.log1p(arg_c) - m * solution.t * solution.r
+    return float(np.log1p(sr * solution.t * d).sum() + np.log(den) - m * solution.t * solution.r
                  + np.log1p(arg_r).sum())
 
 

@@ -32,6 +32,7 @@ from .montecarlo import (
     MonteCarloError,
     TrialBatchSpec,
     WorkerCountError,
+    _write_csv,
     empirical_outage,
     ks_distance,
     run_trials,
@@ -42,18 +43,6 @@ from .montecarlo import (
 from .scenario import Scenario, ScenarioError, load_scenario
 
 LN2 = math.log(2.0)
-
-_EXIT_CONFIG = 2
-_EXIT_NUMERIC = 3
-_EXIT_IO = 4
-_EXIT_RESOURCE = 5
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
 
 def _snr_grid(scenario: Scenario):
@@ -165,18 +154,14 @@ def cmd_compare(scenario: Scenario, out_dir: str) -> int:
 
     lo = min(summary.mi_samples[0], summary.opt_samples[0])
     hi = max(summary.mi_samples[-1], summary.opt_samples[-1])
-    rows = []
-    for x in np.linspace(lo, hi, 200):
-        rows.append((
-            x / LN2,
-            outage_probability(mmse_model, x),
-            empirical_outage(summary, x, "mmse")[0],
-            outage_probability(mmse_model.optimal, x),
-            empirical_outage(summary, x, "optimal")[0],
-        ))
+    xs = np.linspace(lo, hi, 200)
+    columns = [xs / LN2]
+    for model, receiver in ((mmse_model, "mmse"), (mmse_model.optimal, "optimal")):
+        columns.append([outage_probability(model, x) for x in xs])
+        columns.append([empirical_outage(summary, x, receiver)[0] for x in xs])
     path = os.path.join(out_dir, "compare.csv")
     _write_csv(path, ["mi_bpcu", "cdf_mmse_analytic", "cdf_mmse_empirical",
-                      "cdf_opt_analytic", "cdf_opt_empirical"], rows)
+                      "cdf_opt_analytic", "cdf_opt_empirical"], columns)
     ks_m = ks_distance(summary, mmse_model)
     ks_o = ks_distance(summary, mmse_model.optimal)
     print(f"wrote {path}")
@@ -202,7 +187,7 @@ def cmd_outage(scenario: Scenario, out_dir: str) -> int:
                      max(hw_m, hw_o)))
     path = os.path.join(out_dir, "outage.csv")
     _write_csv(path, ["snr_db", "pout_mmse_gauss", "pout_mmse_mc", "pout_opt_mc",
-                      "ci_halfwidth"], rows)
+                      "ci_halfwidth"], list(zip(*rows)))
     print(f"wrote {path}")
     return 0
 
@@ -210,6 +195,16 @@ def cmd_outage(scenario: Scenario, out_dir: str) -> int:
 class _GridPointFailure(Exception):
     """A solver failure at one SNR grid point; the message names the point."""
 
+
+# the exit-code contract of the module docstring: the first row whose class
+# matches gives the code and the stderr prefix
+_FAILURES = (
+    (ScenarioError, 2, "scenario error"),
+    (WorkerCountError, 2, "configuration error"),
+    (_GridPointFailure, 3, "numerical failure"),
+    (OSError, 4, "I/O error"),
+    (MonteCarloError, 5, "resource error"),
+)
 
 _COMMANDS = {
     "asymptotics": cmd_asymptotics,
@@ -241,21 +236,11 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         units = {"units": args.units} if args.command == "asymptotics" else {}
         return _COMMANDS[args.command](scenario, args.out, **units)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except WorkerCountError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except _GridPointFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return _EXIT_NUMERIC
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    except MonteCarloError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return _EXIT_RESOURCE
+    except tuple(cls for cls, _, _ in _FAILURES) as exc:
+        code, prefix = next((code, prefix) for cls, code, prefix in _FAILURES
+                            if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

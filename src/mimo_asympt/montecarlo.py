@@ -298,11 +298,16 @@ def summary_to_json(summary: EmpiricalSummary, config: SystemConfig = None) -> s
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def write_samples_csv(summary: EmpiricalSummary, path) -> None:
-    """Write the sorted sample columns as CSV, header mi_nats,opt_nats, _BATCH rows at a time."""
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length columns as CSV under one header line, %.12g, _BATCH rows at a time."""
+    fmt = ",".join(["%.12g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("mi_nats,opt_nats\n")
-        for lo in range(0, summary.n_trials, _BATCH):
-            rows = zip(summary.mi_samples[lo:lo + _BATCH].tolist(),
-                       summary.opt_samples[lo:lo + _BATCH].tolist())
-            f.write("".join(["%.12g,%.12g\n" % row for row in rows]))
+        f.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _BATCH):
+            rows = zip(*(np.asarray(c)[lo:lo + _BATCH].tolist() for c in columns))
+            f.write("".join([fmt % row for row in rows]))
+
+
+def write_samples_csv(summary: EmpiricalSummary, path) -> None:
+    """Write the sorted sample columns as CSV, header mi_nats,opt_nats."""
+    _write_csv(path, ["mi_nats", "opt_nats"], [summary.mi_samples, summary.opt_samples])

@@ -85,6 +85,36 @@ def test_deformed_logdet_matches_dense_slogdet(x):
     assert mean_logdet_asymptotic(pair, cfg, sol) == pytest.approx(dense, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind,m,n,snr_db", [
+    ("exponential", 4, 7, 55.0), ("exponential", 4, 7, 60.0), ("exponential", 4, 7, 80.0),
+    ("exponential", 2, 4, 60.0), ("exponential", 3, 6, 60.0), ("exponential", 4, 8, 60.0),
+    ("exponential", 5, 10, 60.0), ("complex-t", 4, 7, 60.0), ("complex-t", 4, 7, 80.0),
+])
+def test_deflated_lanes_converge_at_high_snr(kind, m, n, snr_db):
+    # x = 0 deletes stream k, so Tt has T's spectrum without row and column k,
+    # and both equations hold by dense traces; written as 1 - s a1, the
+    # Sherman-Morrison denominator cancels as s a1 -> 1 and h stalls above 1e-12 t
+    if kind == "exponential":
+        pair = CorrelationPair(build_exponential_correlation(n, 0.5),
+                               build_exponential_correlation(m, 0.3))
+    else:
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((n, n))
+        y = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        pair = CorrelationPair(x @ x.T / n, y @ y.conj().T / m)
+    rho = 10.0 ** (snr_db / 10.0)
+    sr, r_mat, t_mat = np.sqrt(rho), np.asarray(pair.R), np.asarray(pair.T)
+    sol = solve_fixed_point(pair, SystemConfig(M=m, N=n, rho=rho),
+                            Deformation(np.arange(m), np.zeros(m)))
+    for k, t, r in zip(range(m), sol.t, sol.r):
+        keep = np.arange(m) != k
+        t_k = t_mat[np.ix_(keep, keep)]
+        f_r = np.trace(np.linalg.solve(np.eye(n) + sr * r * r_mat, r_mat)).real
+        g_t = np.trace(np.linalg.solve(np.eye(m - 1) + sr * t * t_k, t_k)).real
+        assert t == pytest.approx(sr / m * f_r, rel=1e-12)
+        assert r == pytest.approx(sr / m * g_t, rel=1e-12)
+
+
 def test_fixed_point_defects_at_solution():
     pair = CorrelationPair(
         build_exponential_correlation(12, 0.6), build_exponential_correlation(6, 0.4)

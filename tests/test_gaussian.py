@@ -230,23 +230,22 @@ _GRID_PAIRS = {
 @pytest.mark.parametrize("kind", list(_GRID_PAIRS))
 def test_grid_points_equal_one_point_calls(kind, variant):
     # one stacked solve over the grid gives, point by point, the bits of every
-    # one-point call; tol 1e-10, since at 1e-12 a deflated lane of a correlated
-    # pair stalls on round-off at 60 dB
+    # one-point call, at the default tolerance 1e-12
     pair = _GRID_PAIRS[kind](np.random.default_rng(11))
-    cfg, tol = SystemConfig(M=4, N=7, rho=1.0), 1e-10
+    cfg = SystemConfig(M=4, N=7, rho=1.0)
     rhos = [10.0 ** (db / 10.0) for db in (3.0, -120.0, 60.0, 30.0, 3.0)]
-    grid = mmse_mi_gaussian_grid(pair, cfg, rhos, variant=variant, tol=tol)
+    grid = mmse_mi_gaussian_grid(pair, cfg, rhos, variant=variant)
     assert len(grid) == len(rhos)
     for model, rho in zip(grid, rhos):
         at = replace(cfg, rho=rho)
-        one = mmse_mi_gaussian(pair, at, variant=variant, tol=tol)
+        one = mmse_mi_gaussian(pair, at, variant=variant)
         assert model == one   # c1, c2, c10, c11, receiver and variant
-        assert model.optimal == one.optimal == optimal_mi_gaussian(pair, at, tol=tol)
-        for ms in (one.mean_sinr, mean_sinr_asymptotic(pair, at, tol=tol)):
+        assert model.optimal == one.optimal == optimal_mi_gaussian(pair, at)
+        for ms in (one.mean_sinr, mean_sinr_asymptotic(pair, at)):
             np.testing.assert_array_equal(model.mean_sinr.gamma_bar, ms.gamma_bar)
             np.testing.assert_array_equal(model.mean_sinr.delta_gamma, ms.delta_gamma)
         np.testing.assert_array_equal(model.sigma.sigma, one.sigma.sigma)
         assert model.sigma.method == ("iid-closed-form" if kind == "identity" else "implicit")
         if kind != "identity":
             np.testing.assert_array_equal(model.sigma.sigma,
-                                          sinr_covariance_exact(pair, at, tol=tol).sigma)
+                                          sinr_covariance_exact(pair, at).sigma)

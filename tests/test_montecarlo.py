@@ -127,6 +127,13 @@ def _per_row_csv(summary, path):
             f.write(f"{a:.12g},{b:.12g}\n")
 
 
+def _per_row_table_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(f"{v:.12g}" for v in row) + "\n")
+
+
 def test_samples_csv_bytes_equal_the_per_row_writer(tmp_path):
     rng = np.random.default_rng(8)
     x = np.concatenate(([0.0, 1e-300, 5e-324, 0.1, 1.0, 123456789.123456789, 1e300, np.inf],
@@ -136,6 +143,17 @@ def test_samples_csv_bytes_equal_the_per_row_writer(tmp_path):
     _per_row_csv(s, tmp_path / "rows.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
     assert b"\n0,inf\n" in (tmp_path / "rows.csv").read_bytes()
+    # a compare.csv / outage.csv shaped table: five columns, given as an array,
+    # lists and a tuple, as the verbs pass them
+    header = ["snr_db", "pout_mmse_gauss", "pout_mmse_mc", "pout_opt_mc", "ci_halfwidth"]
+    columns = [np.linspace(-30.0, 30.0, 200)] + [rng.uniform(0.0, 1.0, 200).tolist()
+                                                 for _ in range(3)]
+    columns[1][:4] = [0.0, 5e-324, 1e300, np.inf]
+    columns.append(tuple(rng.lognormal(-5.0, 3.0, 200)))
+    mc._write_csv(tmp_path / "table.csv", header, columns)
+    _per_row_table_csv(tmp_path / "table_rows.csv", header, zip(*columns))
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "table_rows.csv").read_bytes()
+    assert b"\n-30,0," in (tmp_path / "table.csv").read_bytes()
 
 
 def test_sinr_covariance_matches_montecarlo_diagonal():

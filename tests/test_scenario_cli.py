@@ -248,7 +248,7 @@ def test_outage_grid_and_monotonicity(tmp_path):
     assert gauss[0] > gauss[1] > gauss[2]  # outage falls with SNR
 
 
-def test_exit_code_4_on_unwritable_output(tmp_path):
+def test_exit_code_4_on_unwritable_output(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file")
     scen = _write_scenario(tmp_path)
@@ -256,6 +256,7 @@ def test_exit_code_4_on_unwritable_output(tmp_path):
     code = main(["asymptotics", "--scenario", str(scen),
                  "--out", str(blocker / "sub")])
     assert code == 4
+    assert capsys.readouterr().err.startswith("I/O error: ")
 
 
 def test_unit_conversion_roundtrip_at_emitted_precision():
@@ -276,10 +277,28 @@ def test_scenario_rejects_seed_of_64_bits_or_more(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
-def test_bad_thread_count_exit_code(tmp_path, monkeypatch, value):
+def test_bad_thread_count_exit_code(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("MIMO_ASYMPT_THREADS", value)
     path = _write_scenario(tmp_path, trials=10)
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("verb,snr_db", [("simulate", 6.0), ("compare", 6.0),
+                                         ("outage", [0.0, 6.0, 12.0])])
+def test_outputs_are_byte_identical_across_worker_counts(tmp_path, monkeypatch, capsys, verb,
+                                                         snr_db):
+    # 6000 trials are two batches, which one worker runs in turn and two at once
+    path = _write_scenario(tmp_path, M=4, N=8, snr_db=snr_db, trials=6000,
+                           correlation={"type": "exponential", "zeta_r": 0.5, "zeta_t": 0.3})
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("MIMO_ASYMPT_THREADS", workers)
+        out = tmp_path / f"out{workers}"
+        assert main([verb, "--scenario", str(path), "--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs.append((capsys.readouterr().out.replace(str(out), "OUT"), files))
+    assert runs[0][1] and runs[0] == runs[1]
 
 
 def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
@@ -410,7 +429,8 @@ def test_float_valued_integer_exit_code(tmp_path, capsys, key, value):
     # 6.0 is a JSON number, not an integer: refused, never truncated or aliased
     path = _write_scenario(tmp_path, **{key: value})
     assert main(["compare", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"'{key}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and f"'{key}'" in err
 
 
 @pytest.mark.parametrize("key,value", [("rate_bpcu", math.nan), ("rate_bpcu", math.inf),
@@ -465,11 +485,12 @@ def test_compare_fails_before_the_simulation(tmp_path, monkeypatch, capsys):
     ("compare", {"type": "identity"}, 6.0),
     ("outage", {"type": "exponential", "zeta_r": 0.5, "zeta_t": 0.3}, [0.0, 6.0, 12.0]),
     ("outage", {"type": "identity"}, [0.0, 6.0]),
+    ("asymptotics", {"type": "exponential", "zeta_r": 0.5, "zeta_t": 0.3}, [0.0, 30.0, 60.0]),
 ])
 def test_one_fixed_point_solve_per_verb_call(tmp_path, monkeypatch, verb, correlation, snr_db):
     # one stacked solve serves the grid: per point, the undeformed lane that both
     # receivers' models read and, for a correlated pair, the covariance's M
-    # deflated lanes
+    # deflated lanes, which converge at 60 dB too
     solve = asymptotics.solve_fixed_point
     calls = []
 
@@ -480,11 +501,12 @@ def test_one_fixed_point_solve_per_verb_call(tmp_path, monkeypatch, verb, correl
     for name, mod in list(sys.modules.items()):
         if name.startswith("mimo_asympt") and getattr(mod, "solve_fixed_point", None) is solve:
             monkeypatch.setattr(mod, "solve_fixed_point", counting)
-    path = _write_scenario(tmp_path, snr_db=snr_db, correlation=correlation, trials=64)
+    path = _write_scenario(tmp_path, M=8, N=16, snr_db=snr_db, correlation=correlation,
+                           trials=64)
     assert main([verb, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
     points = len(np.atleast_1d(snr_db))
     assert len(calls) == 1
-    streams = [] if correlation["type"] == "identity" else [0, 1, 2]
+    streams = [] if correlation["type"] == "identity" else list(range(8))
     np.testing.assert_array_equal(calls[0].index, np.tile([0] + streams, points))
     np.testing.assert_array_equal(calls[0].x, np.tile([1.0] + [0.0] * len(streams), points))
 

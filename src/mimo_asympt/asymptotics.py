@@ -125,6 +125,7 @@ def solve_fixed_point(pair, config, deformation: Optional[Deformation] = None,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    pair._check_fits(config)
     m, n, rho0 = config.M, config.N, config.rho if rho is None else rho
     k, x0 = (0, 1.0) if deformation is None else (deformation.index, deformation.x)
     index, x, rho = np.broadcast_arrays(np.atleast_1d(k), *(np.atleast_1d(np.asarray(v, float))

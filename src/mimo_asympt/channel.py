@@ -11,7 +11,6 @@ order or worker count.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 import json
 
 import numpy as np
@@ -106,6 +105,7 @@ class CorrelationPair:
     t_eigvals: np.ndarray = field(init=False, repr=False, compare=False)
     t_eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
     t_sqrt: np.ndarray = field(init=False, repr=False, compare=False)
+    is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r, t = _as_readonly_complex(self.R), _as_readonly_complex(self.T)
@@ -114,6 +114,8 @@ class CorrelationPair:
                             ("t_eigvals", t_w), ("t_eigvecs", t_u), ("t_sqrt", t_s)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "is_identity", bool(
+            np.array_equal(r, np.eye(len(r))) and np.array_equal(t, np.eye(len(t)))))
 
     @classmethod
     def identity(cls, n: int, m: int) -> "CorrelationPair":
@@ -127,11 +129,10 @@ class CorrelationPair:
     def m(self) -> int:
         return self.T.shape[0]
 
-    @cached_property
-    def is_identity(self) -> bool:
-        return bool(
-            np.array_equal(self.R, np.eye(self.n)) and np.array_equal(self.T, np.eye(self.m))
-        )
+    def _check_fits(self, config) -> None:
+        if (self.n, self.m) != (config.N, config.M):
+            raise ValueError(f"correlation pair is ({self.n}, {self.m}), "
+                             f"config wants ({config.N}, {config.M})")
 
 
 def build_exponential_correlation(n: int, zeta: float) -> np.ndarray:
@@ -196,10 +197,7 @@ def sample_channel(pair: CorrelationPair, config: SystemConfig,
     bit-identical matrix, equal to row trial_index of any batch the Monte
     Carlo engine draws.
     """
-    if pair.n != config.N or pair.m != config.M:
-        raise ValueError(
-            f"correlation pair is ({pair.n}, {pair.m}), config wants ({config.N}, {config.M})"
-        )
+    pair._check_fits(config)
     return _draw_channels(pair, master_seed, trial_index, trial_index + 1)[0]
 
 

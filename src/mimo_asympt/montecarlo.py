@@ -12,8 +12,9 @@ the resulting summary is bit-identical for any worker count.
 
 Sample retention: every run keeps the full sorted mutual-information vector
 of each receiver at each SNR, so outage and KS evaluations resolve
-probabilities to 1/n_trials. Each point holds them once, 16 bytes per trial:
-one array per receiver, filled in trial order and sorted in place.
+probabilities to 1/n_trials. Each receiver has one (points x trials) array
+that the batches fill in place, in trial order; a point's summary holds its
+row, sorted in place, so each point keeps 16 bytes per trial.
 """
 
 import json
@@ -70,8 +71,7 @@ class TrialBatchSpec:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.pair.n != self.config.N or self.pair.m != self.config.M:
-            raise ValueError("correlation pair dimensions do not match config")
+        self.pair._check_fits(self.config)
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
 
@@ -118,25 +118,25 @@ def _worker_count(requested=None) -> int:
 
 
 def _batch_stats(spec: TrialBatchSpec, rhos, lo: int, hi: int, mi, opt):
-    """Write trials [lo, hi)'s MIs at rhos[p] into mi[p] and opt[p]; return the sums.
+    """Write trials [lo, hi)'s MIs at rhos[p] into mi[p] and opt[p]; return the sums by point.
 
     A chunk holds at most _CHUNK_ENTRIES channel entries, so the working set
     stays small at every channel size; its Gram matrix serves every SNR.
     """
     m = spec.config.M
     rows = max(1, min(_CHUNK_ROWS, _CHUNK_ENTRIES // (spec.config.N * m)))
-    views = [(np.empty((hi - lo, m)), x[lo:hi], y[lo:hi]) for x, y in zip(mi, opt)]
+    gam, x, y = np.empty((len(rhos), hi - lo, m)), mi[:, lo:hi], opt[:, lo:hi]
     for c in range(0, hi - lo, rows):
         g = gram(_draw_channels(spec.pair, spec.master_seed, lo + c, min(lo + c + rows, hi)))
-        for (gam, x, y), rho in zip(views, rhos):
-            gam[c:c + rows], x[c:c + rows], y[c:c + rows] = receiver_values(g, rho)
-    return [{
-        "g1": gam.sum(axis=0),
-        "g2": gam.T @ gam,
-        "g3": (gam**3).sum(axis=0),
-        "mi_s": np.array([x.sum(), (x**2).sum(), (x**3).sum()]),
-        "opt_s": np.array([y.sum(), (y**2).sum()]),
-    } for gam, x, y in views]
+        for p, rho in enumerate(rhos):
+            gam[p, c:c + rows], x[p, c:c + rows], y[p, c:c + rows] = receiver_values(g, rho)
+    return {
+        "g1": gam.sum(axis=1),
+        "g2": gam.transpose(0, 2, 1) @ gam,
+        "g3": (gam**3).sum(axis=1),
+        "mi_s": np.stack([x.sum(axis=1), (x**2).sum(axis=1), (x**3).sum(axis=1)], axis=1),
+        "opt_s": np.stack([y.sum(axis=1), (y**2).sum(axis=1)], axis=1),
+    }
 
 
 def _fsum_axis(parts):
@@ -162,12 +162,10 @@ def _jackknife_var_se(x: np.ndarray, blocks: int = 64):
     return float(np.sqrt((blocks - 1) / blocks * np.sum((rest_var - mean_est) ** 2)))
 
 
-def _summarize(ordered, mi, opt, m: int, master_seed: int) -> EmpiricalSummary:
-    """One point's summary from its batch sums and its trial-order mi/opt, sorted in place."""
+def _summarize(sums, mi, opt, m: int, master_seed: int) -> EmpiricalSummary:
+    """One point's summary from its run-wide sums and its trial-order mi/opt, sorted in place."""
     n = len(mi)
-    g1 = _fsum_axis([b["g1"] for b in ordered])
-    g2 = _fsum_axis([b["g2"] for b in ordered])
-    g3 = _fsum_axis([b["g3"] for b in ordered])
+    g1, g2, g3 = sums["g1"], sums["g2"], sums["g3"]
     sinr_mean = g1 / n
     sinr_cov = (g2 - np.outer(g1, g1) / n) / (n - 1) if n > 1 else np.zeros((m, m))
     sinr_cov = 0.5 * (sinr_cov + sinr_cov.T)
@@ -175,8 +173,8 @@ def _summarize(ordered, mi, opt, m: int, master_seed: int) -> EmpiricalSummary:
     m3 = g3 / n - 3 * sinr_mean * np.diagonal(g2) / n + 2 * sinr_mean**3
     sinr_skew = np.where(m2 > 0, m3 / np.where(m2 > 0, m2, 1.0) ** 1.5, 0.0)
 
-    mi_s1, mi_s2, mi_s3 = _fsum_axis([b["mi_s"] for b in ordered])
-    opt_s1, opt_s2 = _fsum_axis([b["opt_s"] for b in ordered])
+    mi_s1, mi_s2, mi_s3 = sums["mi_s"]
+    opt_s1, opt_s2 = sums["opt_s"]
 
     mi_mean = mi_s1 / n
     opt_mean = opt_s1 / n
@@ -218,18 +216,17 @@ def run_trials_grid(spec: TrialBatchSpec, rhos, n_workers=None):
         raise ValueError("need at least one SNR point")
     n = spec.n_trials
     workers = _worker_count(n_workers)
-    _ = spec.pair.is_identity  # cache it before the pool so threads share it
 
     batches = []
     try:
-        mi = [np.empty(n) for _ in rhos]
-        opt = [np.empty(n) for _ in rhos]
+        mi, opt = np.empty((len(rhos), n)), np.empty((len(rhos), n))
         lo_hi = [(lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for stats in pool.map(lambda b: _batch_stats(spec, rhos, *b, mi, opt), lo_hi):
                 batches.append(stats)
-        return [_summarize(ordered, mi[p], opt[p], spec.config.M, spec.master_seed)
-                for p, ordered in enumerate(zip(*batches))]
+        sums = {key: _fsum_axis([b[key] for b in batches]) for key in batches[0]}
+        return [_summarize({key: v[p] for key, v in sums.items()}, mi[p], opt[p],
+                           spec.config.M, spec.master_seed) for p in range(len(rhos))]
     except MemoryError as exc:
         completed = min(len(batches) * _BATCH, n)
         raise MonteCarloError("out of memory during trial execution", completed) from exc

@@ -10,9 +10,15 @@ from mimo_asympt import (
     SystemConfig,
     build_exponential_correlation,
     iid_closed_forms,
+    logdet_joint_cumulant,
     mean_logdet_asymptotic,
     mean_sinr_asymptotic,
+    mmse_mi_gaussian,
+    mmse_mi_gaussian_grid,
+    optimal_mi_gaussian,
     run_trials,
+    sinr_covariance,
+    sinr_covariance_exact,
     solve_fixed_point,
     TrialBatchSpec,
 )
@@ -248,3 +254,25 @@ def test_deformed_solution_linearization_consistency():
         gaps.append(abs(ms.gamma_bar[k] + ms.delta_gamma[k] - exact))
     assert gaps[0] / gaps[1] > 2.5
     assert gaps[1] / gaps[2] > 2.5
+
+
+@pytest.mark.parametrize("m, n", [(3, 6), (5, 10)])
+@pytest.mark.parametrize("layer", [
+    solve_fixed_point,
+    mean_sinr_asymptotic,
+    optimal_mi_gaussian,
+    mmse_mi_gaussian,
+    lambda pair, cfg: mmse_mi_gaussian_grid(pair, cfg, [cfg.rho]),
+    sinr_covariance_exact,
+    sinr_covariance,
+    lambda pair, cfg: logdet_joint_cumulant(pair, cfg, 0, 1, 0.0, 0.0),
+], ids=["solve_fixed_point", "mean_sinr_asymptotic", "optimal_mi_gaussian", "mmse_mi_gaussian",
+        "mmse_mi_gaussian_grid", "sinr_covariance_exact", "sinr_covariance",
+        "logdet_joint_cumulant"])
+def test_pair_that_does_not_fit_config_is_rejected(layer, m, n):
+    # an 8x8 R and a 4x4 T against a smaller and a larger config: neither a
+    # silent answer nor an index error
+    pair = CorrelationPair(build_exponential_correlation(8, 0.5),
+                           build_exponential_correlation(4, 0.3))
+    with pytest.raises(ValueError, match=r"correlation pair is \(8, 4\), config wants"):
+        layer(pair, SystemConfig(M=m, N=n, rho=4.0))

@@ -169,3 +169,18 @@ def test_exact_covariance_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2e6
+
+
+@pytest.mark.parametrize("rho", [1.0, 4.0, 10.0])
+def test_exact_covariance_extrapolates_to_closed_forms(rho):
+    # M Sigma_00 and M^2 Sigma_01 of an i.i.d. pair at N = 2M approach v_d and
+    # v_od with O(1/M) and O(1/M^2) terms; two Richardson levels over M = 8,
+    # 16 and 32 remove both, leaving the M -> infinity coefficients
+    cf = iid_closed_forms(SystemConfig(M=8, N=16, rho=rho))
+    f = {}
+    for m in (8, 16, 32):
+        sig = sinr_covariance_exact(*_iid(m, 2 * m, rho)).sigma
+        f[m] = np.array([m * sig[0, 0], m * m * sig[0, 1]])
+    r1 = {m: 2.0 * f[2 * m] - f[m] for m in (8, 16)}
+    r2 = (4.0 * r1[16] - r1[8]) / 3.0
+    np.testing.assert_allclose(r2, [cf.v_d, cf.v_od], rtol=1e-4)

@@ -325,20 +325,25 @@ def test_env_var_worker_cap_rejects_bad_values(monkeypatch, value):
 
 
 def test_grid_run_matches_single_point_runs():
-    # two batches, the second ending mid-chunk, on a correlated pair
-    cfg = SystemConfig(M=3, N=6, rho=1.0)
-    pair = CorrelationPair(build_exponential_correlation(6, 0.5),
-                           build_exponential_correlation(3, 0.3))
-    spec = TrialBatchSpec(config=cfg, pair=pair, n_trials=4096 + 700, master_seed=11)
-    rhos = [0.5, 2.0, 8.0]
-    grid = run_trials_grid(spec, rhos)
-    assert len(grid) == len(rhos)
-    for rho, summary in zip(rhos, grid):
-        point = replace(spec, config=replace(cfg, rho=rho))
-        single = run_trials(point)
-        assert summary_to_json(summary, point.config) == summary_to_json(single, point.config)
-        assert np.array_equal(summary.mi_samples, single.mi_samples)
-        assert np.array_equal(summary.opt_samples, single.opt_samples)
+    # two batches, the second ending mid-chunk, on correlated pairs; at M16N32
+    # (the outage-corr-m16 shape) the grid stacks a 16x16 g2 over five points,
+    # so the stacked reductions must keep every point's bits
+    for m, n, trials, rhos in [(3, 6, 4096 + 700, [0.5, 2.0, 8.0]),
+                               (16, 32, 4096 + 300, [10 ** (0.1 * db)
+                                                     for db in (9.5, 10.0, 10.5, 11.0, 11.5)])]:
+        cfg = SystemConfig(M=m, N=n, rho=1.0)
+        pair = CorrelationPair(build_exponential_correlation(n, 0.5),
+                               build_exponential_correlation(m, 0.3))
+        spec = TrialBatchSpec(config=cfg, pair=pair, n_trials=trials, master_seed=11)
+        grid = run_trials_grid(spec, rhos)
+        assert len(grid) == len(rhos)
+        for rho, summary in zip(rhos, grid):
+            point = replace(spec, config=replace(cfg, rho=rho))
+            single = run_trials(point)
+            assert (summary_to_json(summary, point.config)
+                    == summary_to_json(single, point.config))
+            assert np.array_equal(summary.mi_samples, single.mi_samples)
+            assert np.array_equal(summary.opt_samples, single.opt_samples)
 
 
 def test_grid_run_rejects_bad_snr():

@@ -5,9 +5,9 @@ channel realizations H = R^{1/2} G T^{1/2} with i.i.d. circularly-symmetric
 complex Gaussian G (unit variance per complex entry, so that
 E[H_ia conj(H_jb)] = R_ij T_ab when R and T have unit diagonals).
 
-Randomness is counter-based: every (master_seed, trial_index) pair owns an
-independent Philox stream, so sampling is reproducible under any execution
-order or worker count.
+Randomness is counter-based and keyed by block of K = _block_rows(N, M)
+trials (see _draw_channels), so sampling is reproducible under any execution
+order, chunking or worker count.
 """
 
 from dataclasses import dataclass, field
@@ -105,6 +105,8 @@ class CorrelationPair:
     t_eigvals: np.ndarray = field(init=False, repr=False, compare=False)
     t_eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
     t_sqrt: np.ndarray = field(init=False, repr=False, compare=False)
+    r_identity: bool = field(init=False, repr=False, compare=False)
+    t_identity: bool = field(init=False, repr=False, compare=False)
     is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,8 +116,9 @@ class CorrelationPair:
                             ("t_eigvals", t_w), ("t_eigvecs", t_u), ("t_sqrt", t_s)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "is_identity", bool(
-            np.array_equal(r, np.eye(len(r))) and np.array_equal(t, np.eye(len(t)))))
+        eye = [bool(np.array_equal(a, np.eye(len(a)))) for a in (r, t)]
+        for name, value in zip(("r_identity", "t_identity", "is_identity"), eye + [all(eye)]):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def identity(cls, n: int, m: int) -> "CorrelationPair":
@@ -155,47 +158,41 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     return _psd_factors("matrix", np.asarray(a))[2]
 
 
+def _block_rows(n: int, m: int) -> int:
+    """Rows K of a Philox block: the largest power of two <= min(512, 2**15 // (N·M))."""
+    return min(512, 1 << (max(1, 2**15 // (n * m)).bit_length() - 1))
+
+
 def _draw_channels(pair: CorrelationPair, master_seed: int, lo: int, hi: int) -> np.ndarray:
     """H = R^{1/2} G T^{1/2} for trials [lo, hi) as one (hi - lo, N, M) array.
 
-    Row i - lo is drawn from the Philox stream keyed by (master_seed, i),
-    exactly as a fresh Generator(Philox(key=[master_seed, i])) would draw
-    its (2, N, M) standard normals (real parts, then imaginary parts): one
-    bit generator is reset to that key per trial, which avoids building a
-    Generator per trial.
+    Trial i is row i % K of Generator(Philox(key=[master_seed, i // K]))
+    .standard_normal((K, 2, N, M)) (real parts, then imaginary parts), with
+    K = _block_rows(N, M). One call draws each block the window touches, up
+    to hi; the first block's rows before lo are dropped, so any window agrees.
     """
-    z = np.empty((hi - lo, 2, pair.n, pair.m))
-    bit_gen = Philox(key=np.array([master_seed, lo], dtype=np.uint64))
-    gen = Generator(bit_gen)
-    # A fresh stream's state, held in plain lists: the state setter reads
-    # them element by element, which is faster than from arrays.
-    state = bit_gen.state
-    state["state"] = {k: v.tolist() for k, v in state["state"].items()}
-    state["buffer"] = state["buffer"].tolist()
-    key = state["state"]["key"]
-    for row, i in zip(z, range(lo, hi)):
-        key[1] = i
-        bit_gen.state = state
-        gen.standard_normal(out=row)
+    k = _block_rows(pair.n, pair.m)
+    start = lo - lo % k
+    z = np.empty((hi - start, 2, pair.n, pair.m))
+    for b in range(start, hi, k):
+        key = np.array([master_seed, b // k], dtype=np.uint64)
+        Generator(Philox(key=key)).standard_normal(out=z[b - start:b - start + k])
     g = np.empty((hi - lo, pair.n, pair.m), dtype=np.complex128)
-    g.real = z[:, 0]
-    g.imag = z[:, 1]
-    g *= np.sqrt(0.5)
-    if pair.is_identity:
-        return g
-    # The plain (non-conjugate) transpose on T^{1/2} makes the transmit
-    # correlation come out as T_ab rather than its conjugate; for real T
-    # the two coincide.
-    return pair.r_sqrt @ g @ pair.t_sqrt.T
+    np.multiply(z[lo - start:, 0], np.sqrt(0.5), out=g.real)
+    np.multiply(z[lo - start:, 1], np.sqrt(0.5), out=g.imag)
+    # A side that is the identity skips its factor, which changes no bit. The plain
+    # transpose on T^{1/2} gives the transmit correlation T_ab, not its conjugate.
+    if not pair.r_identity:
+        g = pair.r_sqrt @ g
+    return g if pair.t_identity else g @ pair.t_sqrt.T
 
 
 def sample_channel(pair: CorrelationPair, config: SystemConfig,
                    master_seed: int, trial_index: int) -> np.ndarray:
     """Draw the N x M matrix H = R^{1/2} G T^{1/2} for (master_seed, trial_index).
 
-    Pure function of its arguments: the same inputs always return a
-    bit-identical matrix, equal to row trial_index of any batch the Monte
-    Carlo engine draws.
+    Bit-identical to row trial_index of any window the Monte Carlo engine
+    draws; at most K = _block_rows(N, M) rows are drawn for it.
     """
     pair._check_fits(config)
     return _draw_channels(pair, master_seed, trial_index, trial_index + 1)[0]

@@ -188,7 +188,9 @@ def iid_closed_forms(config) -> IidClosedForms:
     """
     beta, rho = config.beta, config.rho
     a = rho * (1.0 - beta) - beta
-    g = (a + np.sqrt(a * a + 4.0 * rho * beta)) / (2.0 * beta)
+    root = np.sqrt(a * a + 4.0 * rho * beta)
+    # the positive root of beta g^2 - a g - rho = 0, in the form that does not cancel
+    g = (a + root) / (2.0 * beta) if a >= 0 else 2.0 * rho / (root - a)
     s = 1.0 - beta * g * g / (1.0 + g) ** 2
     v_d = beta * g * g / s
     v_od = (beta**2 * g**3 * (g * s - 2.0)) / ((1.0 + g) ** 2 * s**3) \

@@ -1,14 +1,14 @@
 """Seeded, worker-count-invariant Monte Carlo engine.
 
 Trials are split into fixed batches of 4096; each batch regenerates its
-channels from the per-trial Philox streams, in chunks whose rows fall with
-N·M, and evaluates the exact receiver quantities in stacked form at every
-SNR of the run, so the points of an SNR grid share one draw. Batches may run
-on any number of threads: each writes its samples into its own slice of the
-run's arrays, every sum is taken within each fixed batch by numpy, the
-per-batch sums are combined exactly (math.fsum, in batch order), and every
-other reduction is a deterministic function of the arrays in trial order, so
-the resulting summary is bit-identical for any worker count.
+channels from the block-keyed Philox streams, in chunks of whole blocks whose
+rows fall with N·M, and evaluates the exact receiver quantities in stacked
+form at every SNR of the run, so the points of an SNR grid share one draw.
+Batches may run on any number of threads: each writes its samples into its
+own slice of the run's arrays, every sum is taken within each fixed batch by
+numpy, the per-batch sums are combined exactly (math.fsum, in batch order),
+and every other reduction is a deterministic function of the arrays in trial
+order, so the resulting summary is bit-identical for any worker count.
 
 Sample retention: every run keeps the full sorted mutual-information vector
 of each receiver at each SNR, so outage and KS evaluations resolve
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import CorrelationPair, SystemConfig, _draw_channels
+from .channel import CorrelationPair, SystemConfig, _block_rows, _draw_channels
 from .gaussian import MutualInfoGaussian, _normal_cdf
 from .mmse import gram, receiver_values
 
@@ -123,8 +123,9 @@ def _batch_stats(spec: TrialBatchSpec, rhos, lo: int, hi: int, mi, opt):
     A chunk holds at most _CHUNK_ENTRIES channel entries, so the working set
     stays small at every channel size; its Gram matrix serves every SNR.
     """
-    m = spec.config.M
+    m, k = spec.config.M, _block_rows(spec.config.N, spec.config.M)
     rows = max(1, min(_CHUNK_ROWS, _CHUNK_ENTRIES // (spec.config.N * m)))
+    rows = rows - rows % k or rows  # whole Philox blocks, so no chunk redraws a row
     gam, x, y = np.empty((len(rhos), hi - lo, m)), mi[:, lo:hi], opt[:, lo:hi]
     for c in range(0, hi - lo, rows):
         g = gram(_draw_channels(spec.pair, spec.master_seed, lo + c, min(lo + c + rows, hi)))
@@ -204,7 +205,7 @@ def run_trials_grid(spec: TrialBatchSpec, rhos, n_workers=None):
     is not read. Every point sees the same channel realizations, and each
     summary is bit-identical to run_trials at that SNR alone. The result is
     a pure function of (spec, rhos): batch boundaries are fixed at 4096
-    trials, per-trial randomness depends only on (master_seed, trial index),
+    trials, each trial's randomness depends only on (master_seed, trial index),
     and all reductions run in fixed batch order. n_workers defaults to the
     MIMO_ASYMPT_THREADS environment variable (0 or unset = all cores).
     Running out of memory, while allocating the samples, drawing or
@@ -301,8 +302,8 @@ def _write_csv(path, header, columns) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), _BATCH):
-            rows = zip(*(np.asarray(c)[lo:lo + _BATCH].tolist() for c in columns))
-            f.write("".join([fmt % row for row in rows]))
+            block = np.column_stack([np.asarray(c)[lo:lo + _BATCH] for c in columns])
+            f.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_samples_csv(summary: EmpiricalSummary, path) -> None:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from numpy.random import Generator, Philox
 
 from mimo_asympt import (
@@ -13,7 +14,7 @@ from mimo_asympt import (
     sample_channel,
     save_correlation_json,
 )
-from mimo_asympt.channel import _draw_channels
+from mimo_asympt.channel import _block_rows, _draw_channels
 
 
 def test_config_validation():
@@ -165,8 +166,9 @@ def test_correlation_json_rejects_bad_shapes(tmp_path):
 
 
 def _oracle_channel(pair, seed, i):
-    # one fresh Generator per trial, as the draw is specified
-    z = Generator(Philox(key=[seed, i])).standard_normal((2, pair.n, pair.m))
+    # one fresh Generator per block of K trials, as the draw is specified
+    k = _block_rows(pair.n, pair.m)
+    z = Generator(Philox(key=[seed, i // k])).standard_normal((k, 2, pair.n, pair.m))[i % k]
     return pair.r_sqrt @ ((z[0] + 1j * z[1]) * np.sqrt(0.5)) @ pair.t_sqrt.T
 
 
@@ -177,7 +179,7 @@ def _oracle_channel(pair, seed, i):
     CorrelationPair(build_exponential_correlation(3, 0.6),
                     np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 1.0]])),
 ], ids=["iid-m5n10", "exp-m16n32", "complex-t"])
-def test_sample_channel_matches_per_trial_philox_oracle(pair):
+def test_sample_channel_matches_block_philox_oracle(pair):
     cfg = SystemConfig(M=pair.m, N=pair.n, rho=1.0)
     seed = 20260810
     for i in (0, 1, 511, 512, 4097):
@@ -187,3 +189,53 @@ def test_sample_channel_matches_per_trial_philox_oracle(pair):
     rows = _draw_channels(pair, seed, 500, 530)
     for k in range(len(rows)):
         assert np.array_equal(rows[k], _oracle_channel(pair, seed, 500 + k)), 500 + k
+
+
+def test_block_rows_divide_the_batch_and_fill_a_default_chunk():
+    # K is a power of two that divides the engine's 4096-trial batch and is at
+    # most the default chunk rows, min(512, 2**15 // (N·M)), so a default
+    # chunk is whole blocks
+    for m, n in [(1, 1), (2, 2), (5, 10), (4, 20), (16, 32), (32, 64), (64, 128), (200, 200)]:
+        k, chunk = _block_rows(n, m), max(1, min(512, 2**15 // (n * m)))
+        assert 4096 % k == 0 and k <= chunk < 2 * k, (m, n, k)
+    assert [_block_rows(2 * m, m) for m in (5, 16, 32)] == [512, 64, 16]
+
+
+_WINDOW_PAIRS = [CorrelationPair.identity(10, 5), CorrelationPair.identity(32, 16),
+                 CorrelationPair(build_exponential_correlation(3, 0.6),
+                                 np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 1.0]]))]
+_WHOLE = [_draw_channels(pair, 99, 0, 4700) for pair in _WINDOW_PAIRS]
+
+
+@given(st.integers(0, 2), st.integers(0, 4699), st.integers(1, 1200))
+@example(0, 4095, 1).via("one row before a batch edge")
+@example(0, 4096, 1).via("the first row of the second batch")
+@example(0, 4097, 1).via("one row after a batch edge")
+@example(0, 4095, 3).via("across 4095, 4096 and 4097")
+@example(1, 4095, 2).via("across a batch edge in 64-row blocks")
+@example(1, 70, 20).via("inside one 64-row block")
+@example(1, 60, 10).via("across one 64-row block edge")
+@example(1, 10, 200).via("across several 64-row blocks")
+@example(0, 300, 100).via("inside one 512-row block")
+@example(0, 500, 30).via("across one 512-row block edge")
+@example(2, 0, 4700).via("the whole range")
+def test_every_window_equals_its_slice_of_one_whole_draw(which, lo, size):
+    pair, whole = _WINDOW_PAIRS[which], _WHOLE[which]
+    hi = min(lo + size, len(whole))
+    assert np.array_equal(_draw_channels(pair, 99, lo, hi), whole[lo:hi])
+
+
+@pytest.mark.parametrize("r, t", [
+    (np.eye(6), build_exponential_correlation(3, 0.4)),
+    (build_exponential_correlation(6, 0.7), np.eye(3)),
+    (np.eye(6), np.array([[1.0, 0.3 + 0.2j, 0.0], [0.3 - 0.2j, 1.0, 0.1], [0.0, 0.1, 1.0]])),
+], ids=["r-identity", "t-identity", "r-identity-complex-t"])
+def test_skipped_identity_factor_changes_no_bit(r, t):
+    # a side that is the identity skips its factor; the full product agrees bit for bit
+    pair = CorrelationPair(r, t)
+    assert (pair.r_identity, pair.t_identity) == (np.array_equal(r, np.eye(6)),
+                                                  np.array_equal(t, np.eye(3)))
+    assert not pair.is_identity
+    got = _draw_channels(pair, 4242, 300, 1100)
+    g = _draw_channels(CorrelationPair.identity(6, 3), 4242, 300, 1100)
+    assert np.array_equal(got, pair.r_sqrt @ g @ pair.t_sqrt.T)

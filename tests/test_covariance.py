@@ -1,4 +1,5 @@
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -38,6 +39,21 @@ def test_closed_forms_zero_snr_limit():
     assert abs(cf.g) <= 1e-11
     assert abs(cf.v_d) <= 1e-11
     assert abs(cf.v_od) <= 1e-11
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+@pytest.mark.parametrize("snr_db", [-30.0, -45.0, -60.0, -75.0, -90.0, -105.0, -120.0])
+def test_closed_form_g_keeps_its_digits_at_low_snr(beta, snr_db):
+    # the root of beta g^2 - a g - rho = 0 in 50 decimal digits, where the
+    # cancellation of a + sqrt(a^2 + 4 rho beta) (a < 0) still leaves 38
+    cfg = SystemConfig(M=4, N=round(4 / beta), rho=10.0 ** (snr_db / 10.0))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        b, r = Decimal(cfg.beta), Decimal(cfg.rho)
+        a = r * (1 - b) - b
+        g = (a + (a * a + 4 * r * b).sqrt()) / (2 * b)
+    assert a < 0
+    assert abs(iid_closed_forms(cfg).g - float(g)) <= 1e-13 * float(g)
 
 
 def test_joint_cumulant_undeformed_identity_value():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mimo_asympt.montecarlo as mc
+from mimo_asympt.channel import _block_rows
 from mimo_asympt import (
     CorrelationPair,
     EmpiricalSummary,
@@ -366,3 +367,19 @@ def test_every_trial_is_drawn_once(monkeypatch):
     # one pass serves both SNRs, and each keeps every trial's sample
     assert np.all(drawn == 1)
     assert all(len(s.mi_samples) == len(s.opt_samples) == 10_000 for s in grid)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (5, 10), (4, 20), (3, 7), (16, 32), (32, 64)])
+def test_default_chunks_draw_no_row_twice(monkeypatch, m, n):
+    # every default chunk starts on an edge of a Philox block, so the rows a
+    # window drops before its start are never drawn
+    k, starts = _block_rows(n, m), []
+    real_draw = mc._draw_channels
+
+    def recording_draw(pair, master_seed, lo, hi):
+        starts.append(lo)
+        return real_draw(pair, master_seed, lo, hi)
+
+    monkeypatch.setattr(mc, "_draw_channels", recording_draw)
+    run_trials_grid(_spec(m=m, n=n, trials=4096 + 300), [1.0], n_workers=1)
+    assert starts and all(lo % k == 0 for lo in starts)

@@ -5,14 +5,16 @@ reference simulator.
 Library layout:
 
   channel      correlation models, channel sampling (counter-based RNG)
-  mmse         exact per-realization SINRs and mutual informations
+  mmse         batched exact SINRs and mutual informations of channel stacks
   asymptotics  coupled fixed point, asymptotic log-det mean, mean SINR + 1/N term
   covariance   SINR covariance via the joint log-det cumulant, i.i.d. closed forms
   gaussian     Gaussian mean/variance assembly and outage probabilities
   montecarlo   seeded, worker-count-invariant trial engine
   scenario/cli JSON scenarios and the mimo-asympt command line
 
-The package re-exports every name in each library module's __all__.
+The package re-exports every name in each library module's __all__. Each
+function there is run by a CLI verb or by the benchmark worker; the tests'
+independent references (tests/oracles.py) are not part of the package.
 """
 
 from . import asymptotics, channel, covariance, gaussian, mmse, montecarlo, scenario

@@ -20,7 +20,6 @@ __all__ = [
     "SystemConfig",
     "CorrelationPair",
     "build_exponential_correlation",
-    "psd_sqrt",
     "sample_channel",
     "load_correlation_json",
     "save_correlation_json",
@@ -151,11 +150,6 @@ def build_exponential_correlation(n: int, zeta: float) -> np.ndarray:
         raise ValueError(f"zeta must lie in [0, 1), got {zeta!r}")
     k = np.arange(n)
     return (zeta ** k)[np.abs(np.subtract.outer(k, k))].astype(np.float64)
-
-
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition (clipped as in _psd_factors)."""
-    return _psd_factors("matrix", np.asarray(a))[2]
 
 
 def _block_rows(n: int, m: int) -> int:

@@ -146,10 +146,15 @@ def cmd_simulate(scenario: Scenario, out_dir: str) -> int:
 
 
 def cmd_compare(scenario: Scenario, out_dir: str) -> int:
-    _, rho = _single_point(scenario)
+    snr_db, rho = _single_point(scenario)
     pair = scenario.build_pair()
-    # the models first, so a solver failure exits before the simulation
+    # the models first, so a solver failure or a model with no KS distance
+    # exits before the simulation
     mmse_model = _models(scenario, pair, scenario.mean_variant)[0]
+    c2s = (mmse_model.c2, mmse_model.optimal.c2)
+    if min(c2s) <= 0:
+        raise _GridPointFailure(f"at snr_db={snr_db}: a model variance is 0 (mmse, optimal c2 = "
+                                f"{c2s[0]:g}, {c2s[1]:g}), so there is no KS distance")
     summary = run_trials(_spec(scenario, pair, rho))
 
     lo = min(summary.mi_samples[0], summary.opt_samples[0])
@@ -157,8 +162,7 @@ def cmd_compare(scenario: Scenario, out_dir: str) -> int:
     xs = np.linspace(lo, hi, 200)
     columns = [xs / LN2]
     for model, receiver in ((mmse_model, "mmse"), (mmse_model.optimal, "optimal")):
-        columns.append([outage_probability(model, x) for x in xs])
-        columns.append([empirical_outage(summary, x, receiver)[0] for x in xs])
+        columns += [outage_probability(model, xs), empirical_outage(summary, xs, receiver)[0]]
     path = os.path.join(out_dir, "compare.csv")
     _write_csv(path, ["mi_bpcu", "cdf_mmse_analytic", "cdf_mmse_empirical",
                       "cdf_opt_analytic", "cdf_opt_empirical"], columns)

@@ -12,9 +12,13 @@ plus rank one, and phi_k^2 and its derivative a diagonal plus rank two, so one
 routine, _trace, gives each such trace for every stream pair from (M, M)
 products. Production uses sinr_covariance_exact, implicit differentiation at
 the M deflated fixed points, each point's lanes of the one stacked solve that
-mmse_mi_gaussian_grid makes for an SNR grid. The oracle, sinr_covariance,
-differences F over a central four-point stencil with one Richardson level
-(steps h and h/2), again one stacked solve, and converges onto it at order h^4.
+mmse_mi_gaussian_grid makes for an SNR grid. _kernel gives F between lanes
+of a stacked solve. The stencil, sinr_covariance, differences F over a central
+four-point stencil with one Richardson level (steps h and h/2), again one
+stacked solve, and converges onto it at order h^4; no verb runs it, and it
+stays for perfbench/worker.py, which probes it, and the benchmark contract
+test, which pins it. The one-pair cumulant the tests check against lives in
+tests/oracles.py.
 
 At finite M the matrix carries genuine O(1/M) corrections beyond the i.i.d. closed forms
 (the M -> infinity coefficients); Monte Carlo puts the finite-M values within about one
@@ -32,7 +36,6 @@ __all__ = [
     "SinrCovariance",
     "IidClosedForms",
     "StepTooLarge",
-    "logdet_joint_cumulant",
     "sinr_covariance",
     "sinr_covariance_exact",
     "iid_closed_forms",
@@ -96,19 +99,6 @@ def _kernel(sol: FixedPointSolution, a, b, pair, config) -> np.ndarray:
     if p.max() >= 1.0:
         raise StabilityViolation(f"1 - M_t*M_r = {1.0 - p.max():.3e} <= 0")
     return -np.log1p(-p)
-
-
-def logdet_joint_cumulant(pair, config, k: int, l: int, x_k: float, x_l: float,
-                          tol: float = 1e-12, max_iter: int = 10000) -> float:
-    """Joint second cumulant of the log-dets deformed at streams k and l.
-
-    Symmetric under swapping (k, x_k) with (l, x_l). At k = l with
-    x_k = x_l = 1 (no deformation) this is the asymptotic variance of the
-    optimal-receiver mutual information.
-    """
-    sol = solve_fixed_point(pair, config, Deformation(np.array([k, l]), np.array([x_k, x_l])),
-                            tol=tol, max_iter=max_iter)
-    return float(_kernel(sol, [0], [1], pair, config)[0, 0])
 
 
 def sinr_covariance(pair, config, step: float = 1e-3, tol: float = 1e-12,

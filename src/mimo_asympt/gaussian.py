@@ -107,7 +107,8 @@ def _closed_form_sigma(config) -> SinrCovariance:
 
 def mmse_mi_gaussian(pair, config, variant: str = "taylor", step: float = 1e-3,
                      tol: float = 1e-12, max_iter: int = 10000) -> MutualInfoGaussian:
-    """The one-point mmse_mi_gaussian_grid at config.rho; step has no effect (kept for callers)."""
+    """The one-point mmse_mi_gaussian_grid at config.rho; step has no effect
+    (perfbench/worker.py passes it, and tests/test_bench_contract.py pins it)."""
     return mmse_mi_gaussian_grid(pair, config, [config.rho], variant, tol, max_iter)[0]
 
 
@@ -167,14 +168,16 @@ def _normal_cdf(z):
     return 0.5 * np.asarray(_ERFC(-np.asarray(z) / math.sqrt(2.0)), dtype=np.float64)
 
 
-def outage_probability(model: MutualInfoGaussian, rate_nats: float) -> float:
+def outage_probability(model: MutualInfoGaussian, rate_nats):
     """P(I <= R) under the Gaussian model: Phi((R - c1) / sqrt(c2)).
 
     Oriented as a CDF (nondecreasing in R). Degenerate c2 = 0 is the step
-    function at c1, with value 1/2 at the step.
+    function at c1, with value 1/2 at the step. A scalar rate gives a float,
+    an array of rates an array of its shape, elementwise.
     """
+    r = np.asarray(rate_nats, dtype=np.float64)
     if model.c2 == 0.0:
-        if rate_nats < model.c1:
-            return 0.0
-        return 0.5 if rate_nats == model.c1 else 1.0
-    return float(_normal_cdf((rate_nats - model.c1) / math.sqrt(model.c2)))
+        p = np.where(r < model.c1, 0.0, np.where(r == model.c1, 0.5, 1.0))
+    else:
+        p = _normal_cdf((r - model.c1) / math.sqrt(model.c2))
+    return float(p) if p.ndim == 0 else p

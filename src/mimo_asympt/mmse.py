@@ -1,10 +1,9 @@
 """Exact finite-dimensional receiver quantities.
 
 Per-stream MMSE SINRs, the MMSE mutual information sum, and the optimal
-(log-det) mutual information, all in nats. One batched Cholesky path on the
-Gram matrix H^H H serves single channels and Monte Carlo stacks alike. The
-column-deletion and trace-identity forms are kept as references: they solve
-with LU (np.linalg.solve), independent of the Cholesky path.
+(log-det) mutual information, all in nats, for every channel of a Monte
+Carlo stack: one batched Cholesky of I + (rho/M) H^H H gives all three. The
+column-deletion and trace-identity references live in the tests.
 """
 
 import numpy as np
@@ -12,11 +11,6 @@ import numpy as np
 __all__ = [
     "gram",
     "receiver_values",
-    "sinr_exact",
-    "sinr_deflated",
-    "sinr_trace_identity",
-    "mutual_info_mmse",
-    "mutual_info_optimal",
 ]
 
 
@@ -58,51 +52,3 @@ def receiver_values(g: np.ndarray, rho: float):
     d = (l_inv.real**2 + l_inv.imag**2).sum(axis=-2)
     gam = np.maximum(1.0 / d - 1.0, 0.0)
     return gam, np.log1p(gam).sum(axis=-1), opt
-
-
-def sinr_exact(h: np.ndarray, rho: float) -> np.ndarray:
-    """All M per-stream MMSE SINRs, gamma_k = 1 / [(I + (rho/M) H^H H)^{-1}]_kk - 1."""
-    return receiver_values(gram(h), rho)[0]
-
-
-def sinr_deflated(h: np.ndarray, rho: float) -> np.ndarray:
-    """Reference SINRs via explicit column deletion.
-
-    gamma_k = (rho/M) h_k^H (I + (rho/M) H_k H_k^H)^{-1} h_k with H_k the
-    channel minus column k. One N x N solve per stream; kept as an
-    independent check of sinr_exact.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    n, m = h.shape
-    out = np.empty(m)
-    for k in range(m):
-        hk = np.delete(h, k, axis=1)
-        b = np.eye(n) + (rho / m) * (hk @ hk.conj().T)
-        out[k] = (rho / m) * (h[:, k].conj() @ np.linalg.solve(b, h[:, k])).real
-    return out
-
-
-def sinr_trace_identity(h: np.ndarray, rho: float, k: int) -> float:
-    """SINR of stream k as Tr{[I + (rho/M) H J_k(0) H^H]^{-1} (rho/M) H d_k H^H}.
-
-    J_k(0) zeroes column k, so the resolvent argument is the deflated Gram
-    matrix; the trace collapses onto the quadratic form in h_k. Stream
-    indices are 0-based.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    n, m = h.shape
-    if not (0 <= k < m):
-        raise IndexError(f"stream index {k} out of range for M={m}")
-    hk_col = h[:, k]
-    b = np.eye(n) + (rho / m) * (h @ h.conj().T - np.outer(hk_col, hk_col.conj()))
-    return float((rho / m) * (hk_col.conj() @ np.linalg.solve(b, hk_col)).real)
-
-
-def mutual_info_mmse(gammas: np.ndarray) -> float:
-    """Sum of log(1 + gamma_k) over the parallel MMSE streams, in nats."""
-    return float(np.log1p(np.asarray(gammas)).sum())
-
-
-def mutual_info_optimal(h: np.ndarray, rho: float) -> float:
-    """log det(I + (rho/M) H H^H) in nats, via Cholesky of the M x M Gram form."""
-    return float(receiver_values(gram(h), rho)[2])

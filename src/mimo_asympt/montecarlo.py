@@ -1,7 +1,7 @@
 """Seeded, worker-count-invariant Monte Carlo engine.
 
 Trials are split into fixed batches of 4096; each batch regenerates its
-channels from the block-keyed Philox streams, in chunks of whole blocks whose
+channels from the block-keyed Philox streams, one block per chunk, whose
 rows fall with N·M, and evaluates the exact receiver quantities in stacked
 form at every SNR of the run, so the points of an SNR grid share one draw.
 Batches may run on any number of threads: each writes its samples into its
@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import CorrelationPair, SystemConfig, _block_rows, _draw_channels
-from .gaussian import MutualInfoGaussian, _normal_cdf
+from .gaussian import MutualInfoGaussian, outage_probability
 from .mmse import gram, receiver_values
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
 ]
 
 _BATCH = 4096
-_CHUNK_ROWS = 512
-_CHUNK_ENTRIES = 2**15
 _Z95 = 1.959963984540054
 
 
@@ -120,12 +118,11 @@ def _worker_count(requested=None) -> int:
 def _batch_stats(spec: TrialBatchSpec, rhos, lo: int, hi: int, mi, opt):
     """Write trials [lo, hi)'s MIs at rhos[p] into mi[p] and opt[p]; return the sums by point.
 
-    A chunk holds at most _CHUNK_ENTRIES channel entries, so the working set
-    stays small at every channel size; its Gram matrix serves every SNR.
+    A chunk is one Philox block of _block_rows(N, M) trials, at most 512 rows
+    and 2**15 channel entries, so the working set stays small at every channel
+    size and no chunk redraws a row; its Gram matrix serves every SNR.
     """
-    m, k = spec.config.M, _block_rows(spec.config.N, spec.config.M)
-    rows = max(1, min(_CHUNK_ROWS, _CHUNK_ENTRIES // (spec.config.N * m)))
-    rows = rows - rows % k or rows  # whole Philox blocks, so no chunk redraws a row
+    m, rows = spec.config.M, _block_rows(spec.config.N, spec.config.M)
     gam, x, y = np.empty((len(rhos), hi - lo, m)), mi[:, lo:hi], opt[:, lo:hi]
     for c in range(0, hi - lo, rows):
         g = gram(_draw_channels(spec.pair, spec.master_seed, lo + c, min(lo + c + rows, hi)))
@@ -246,17 +243,17 @@ def _samples_for(summary: EmpiricalSummary, receiver: str) -> np.ndarray:
     raise ValueError(f"unknown receiver {receiver!r}")
 
 
-def empirical_outage(summary: EmpiricalSummary, rate_nats: float,
-                     receiver: str = "mmse"):
+def empirical_outage(summary: EmpiricalSummary, rate_nats, receiver: str = "mmse"):
     """Fraction of samples <= rate, with its Wilson 95% half-width.
 
-    Returns (probability, halfwidth).
+    Returns (probability, halfwidth): floats for a scalar rate, arrays of its
+    shape, elementwise, for an array of rates.
     """
     n = summary.n_trials
     p = np.searchsorted(_samples_for(summary, receiver), rate_nats, side="right") / n
     z2 = _Z95 * _Z95
-    halfwidth = _Z95 / (1.0 + z2 / n) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
-    return float(p), float(halfwidth)
+    halfwidth = _Z95 / (1.0 + z2 / n) * np.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
+    return (float(p), float(halfwidth)) if np.ndim(p) == 0 else (p, halfwidth)
 
 
 def ks_distance(summary: EmpiricalSummary, model: MutualInfoGaussian) -> float:
@@ -270,7 +267,7 @@ def ks_distance(summary: EmpiricalSummary, model: MutualInfoGaussian) -> float:
     xs = _samples_for(summary, model.receiver)
     n, gap = len(xs), -np.inf
     for lo in range(0, n, _BATCH):
-        f_model = _normal_cdf((xs[lo:lo + _BATCH] - model.c1) / math.sqrt(model.c2))
+        f_model = outage_probability(model, xs[lo:lo + _BATCH])
         rank = np.arange(lo, lo + len(f_model))
         gap = max(gap, ((rank + 1) / n - f_model).max(), (f_model - rank / n).max())
     return float(gap)

@@ -128,7 +128,9 @@ class Scenario:
     trials: Optional[int]
     seed: Optional[int]
     mean_variant: str
-    fd_step: float  # read by no verb; a step for direct sinr_covariance calls
+    # read by no verb: perfbench/worker.py passes it as the step of sinr_covariance and
+    # mmse_mi_gaussian, and tests/test_bench_contract.py pins it
+    fd_step: float
     tolerance: float
     max_iter: int
     base_dir: str

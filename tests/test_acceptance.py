@@ -27,11 +27,10 @@ from mimo_asympt import (
     mmse_mi_gaussian,
     run_trials,
     sinr_covariance,
-    sinr_exact,
-    sinr_trace_identity,
     solve_fixed_point,
     summary_to_json,
 )
+from oracles import sinr_exact, sinr_trace_identity
 
 LN2 = math.log(2.0)
 
@@ -191,7 +190,7 @@ def test_criterion_8_logdet_variance():
     pair, cfg = _iid(16, 32, 4.0)
     spec = TrialBatchSpec(config=cfg, pair=pair, n_trials=100_000, master_seed=808)
     summary = run_trials(spec)
-    from mimo_asympt import logdet_joint_cumulant
+    from oracles import logdet_joint_cumulant
 
     target = logdet_joint_cumulant(pair, cfg, 0, 0, 1.0, 1.0)
     rel = abs(summary.opt_var - target) / target

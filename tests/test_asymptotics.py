@@ -10,7 +10,6 @@ from mimo_asympt import (
     SystemConfig,
     build_exponential_correlation,
     iid_closed_forms,
-    logdet_joint_cumulant,
     mean_logdet_asymptotic,
     mean_sinr_asymptotic,
     mmse_mi_gaussian,
@@ -22,6 +21,7 @@ from mimo_asympt import (
     solve_fixed_point,
     TrialBatchSpec,
 )
+from oracles import logdet_joint_cumulant
 
 
 def _iid(m, n, rho):

@@ -10,11 +10,11 @@ from mimo_asympt import (
     SystemConfig,
     build_exponential_correlation,
     load_correlation_json,
-    psd_sqrt,
     sample_channel,
     save_correlation_json,
 )
 from mimo_asympt.channel import _block_rows, _draw_channels
+from oracles import psd_sqrt
 
 
 def test_config_validation():

@@ -10,10 +10,10 @@ from mimo_asympt import (
     SystemConfig,
     build_exponential_correlation,
     iid_closed_forms,
-    logdet_joint_cumulant,
     sinr_covariance,
     sinr_covariance_exact,
 )
+from oracles import logdet_joint_cumulant
 
 
 def _iid(m, n, rho):

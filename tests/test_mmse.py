@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mimo_asympt import (
+from oracles import (
     mutual_info_mmse,
     mutual_info_optimal,
     sinr_deflated,

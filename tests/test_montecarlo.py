@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mimo_asympt.montecarlo as mc
+from mimo_asympt import gaussian
 from mimo_asympt.channel import _block_rows
 from mimo_asympt import (
     CorrelationPair,
@@ -16,16 +17,14 @@ from mimo_asympt import (
     build_exponential_correlation,
     empirical_outage,
     ks_distance,
-    mutual_info_mmse,
-    mutual_info_optimal,
     run_trials,
     run_trials_grid,
     sample_channel,
     sinr_covariance,
-    sinr_exact,
     summary_to_json,
     write_samples_csv,
 )
+from oracles import mutual_info_mmse, mutual_info_optimal, sinr_exact
 
 
 def _spec(m=3, n=6, rho=4.0, trials=2000, seed=123):
@@ -109,7 +108,7 @@ def test_ks_distance_equals_the_whole_array_formula(n):
     # the chunked evaluation gives the bits of the one-shot formula
     x = np.sort(np.random.default_rng(n).standard_normal(n))
     model = MutualInfoGaussian(c1=0.1, c2=1.3, c10=0.0, c11=0.0, receiver="mmse")
-    f = mc._normal_cdf((x - 0.1) / np.sqrt(1.3))
+    f = gaussian._normal_cdf((x - 0.1) / np.sqrt(1.3))
     expected = max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max())
     assert ks_distance(_sorted_summary(x), model) == expected
 
@@ -286,7 +285,7 @@ def test_chunk_rows_leave_every_output_unchanged(monkeypatch, m, n, zetas):
 
     monkeypatch.setattr(mc, "_draw_channels", recording_draw)
     for rows in (1, 7, 64, 512):
-        monkeypatch.setattr(mc, "_CHUNK_ENTRIES", rows * n * m)
+        monkeypatch.setattr(mc, "_block_rows", lambda n, m, rows=rows: rows)
         for workers in (1, 2):
             sizes.clear()
             got = run_trials_grid(spec, rhos, n_workers=workers)

@@ -42,7 +42,7 @@ from mimo_asympt import (
     sinr_covariance_exact,
     solve_fixed_point,
 )
-from mimo_asympt.covariance import logdet_joint_cumulant
+from oracles import logdet_joint_cumulant
 
 # the benchmark's output checks, executed from source so nothing is written next to them
 _CHECKS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"

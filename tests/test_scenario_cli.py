@@ -478,6 +478,24 @@ def test_compare_fails_before_the_simulation(tmp_path, monkeypatch, capsys):
     assert "snr_db=40.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("snr_db,correlation", [
+    (10.0, {"type": "file", "r_path": "r.json", "t_path": "t.json"}),   # T = 0: H = 0
+    (-3000.0, {"type": "identity"}),                                   # c2 underflows to 0
+], ids=["file-zero-T", "identity-minus-3000dB"])
+def test_compare_with_a_zero_variance_model_is_a_numerical_failure(tmp_path, monkeypatch,
+                                                                   capsys, snr_db, correlation):
+    # a model with c2 = 0 has no KS distance: exit 3 naming the point, before any draw
+    def no_draw(spec):
+        raise AssertionError("compare drew channels before checking its models")
+
+    monkeypatch.setattr(cli, "run_trials", no_draw)
+    save_correlation_json(tmp_path / "r.json", np.eye(4))
+    save_correlation_json(tmp_path / "t.json", np.zeros((2, 2)))
+    path = _write_scenario(tmp_path, M=2, N=4, snr_db=snr_db, correlation=correlation)
+    assert main(["compare", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert f"numerical failure: at snr_db={snr_db}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb,correlation,snr_db", [
     ("asymptotics", {"type": "exponential", "zeta_r": 0.5, "zeta_t": 0.3}, [0.0, 6.0, 12.0]),
     ("asymptotics", {"type": "identity"}, [0.0, 6.0]),
